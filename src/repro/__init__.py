@@ -25,7 +25,6 @@ Public API quick map:
   stream (:class:`EventBus`, :mod:`repro.flow.events`) and its consumers
   (:class:`ProgressLine`, :class:`TraceWriter`, :class:`Heartbeat`);
   options/results — :class:`AtpgOptions`, :class:`AtpgResult`
-  (:class:`AtpgEngine` survives as a deprecated facade)
 * campaigns — :class:`CampaignSpec`, :func:`expand`, :func:`run_campaign`,
   :class:`ResultStore` (sharded corpus runs with a content-addressed
   cache and per-job flow heartbeats)
@@ -53,7 +52,6 @@ from repro.faultmodels import (
     register_model,
 )
 from repro.core import (
-    AtpgEngine,
     AtpgOptions,
     AtpgResult,
     Test,
@@ -129,7 +127,6 @@ __all__ = [
     "parse_netlist",
     "load_netlist",
     "netlist_to_text",
-    "AtpgEngine",
     "AtpgOptions",
     "AtpgResult",
     "Budget",

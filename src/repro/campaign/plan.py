@@ -43,7 +43,10 @@ from repro.flow import DEFAULT_STAGE_NAMES
 #: registered model (``bridging`` / ``transition`` joined the stuck-at
 #: pair), and transition-aware collapsing changed the collapse
 #: signature space.
-CODE_VERSION = "3"
+#: "4": a fault whose exact 3-phase analysis fell back to ternary and
+#: then exhausted its search is ABORTED ("ternary-exhausted"), no longer
+#: UNDETECTABLE.
+CODE_VERSION = "4"
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ collapse → random TPG → 3-phase → compaction, over one
    :func:`repro.flow.stages.fault_simulate` over :mod:`repro.sim`;
 
 — plus the shared data contract (:mod:`repro.core.atpg`:
-``AtpgOptions`` / ``AtpgResult`` / deprecated ``AtpgEngine`` facade),
+``AtpgOptions`` / ``AtpgResult``),
 collapsing, compaction, verification, and reporting.
 """
 
 from repro.core.sequences import Test, TestSet
-from repro.core.atpg import AtpgEngine, AtpgOptions, AtpgResult, FaultStatus
+from repro.core.atpg import AtpgOptions, AtpgResult, FaultStatus
 from repro.core.random_tpg import random_tpg
 from repro.core.three_phase import ThreePhaseGenerator, GenerationOutcome
 from repro.core.report import format_table, result_row
@@ -29,7 +29,6 @@ from repro.core.collapse import collapse_faults
 __all__ = [
     "Test",
     "TestSet",
-    "AtpgEngine",
     "AtpgOptions",
     "AtpgResult",
     "FaultStatus",

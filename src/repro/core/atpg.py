@@ -1,4 +1,4 @@
-"""ATPG result/option types and the legacy engine facade.
+"""ATPG result and option types.
 
 The flow itself lives in :mod:`repro.flow`: a pipeline of composable
 stages (collapse → random TPG → 3-phase + fault sim → compaction) over a
@@ -8,17 +8,13 @@ module keeps the *data contract* every consumer shares:
 
 * :class:`AtpgOptions` — the tuning knobs (also the campaign cache key);
 * :class:`FaultStatus` / :class:`AtpgResult` — per-fault verdicts and
-  the complete Table 1/2 row, JSON round-trippable;
-* :class:`AtpgEngine` — **deprecated** thin facade over
-  ``Flow.default()``, kept so pre-flow callers keep working; it produces
-  byte-identical payloads (modulo ``cpu_seconds``).
+  the complete Table 1/2 row, JSON round-trippable.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import ReproError
 
@@ -125,7 +121,9 @@ class FaultStatus:
     ``reason`` records *why* an aborted fault was given up on:
     ``"budget"`` (run deadline expired before/while processing it),
     ``"product-states"`` (per-fault product-state cap hit),
-    ``"activation-tries"`` (activation-target cap hit), or
+    ``"activation-tries"`` (activation-target cap hit),
+    ``"ternary-exhausted"`` (no test found after the exact analysis fell
+    back to conservative ternary semantics), or
     ``"unprocessed"`` (no stage of a custom flow classified it).
     Empty for detected / undetectable faults.
     """
@@ -368,36 +366,3 @@ def cssg_for(circuit: Circuit, opts: AtpgOptions) -> Cssg:
         max_input_changes=opts.max_input_changes,
         method=resolve_cssg_method(circuit, opts),
     )
-
-
-class AtpgEngine:
-    """**Deprecated** facade over :meth:`repro.flow.Flow.default`.
-
-    ``AtpgEngine(circuit, options).run()`` is exactly
-    ``Flow.default().run(circuit, options)`` — same stages, same seeds,
-    identical :meth:`AtpgResult.to_json_dict` payload (modulo
-    ``cpu_seconds``).  New code should use the flow API directly: it
-    exposes the stage list, the run budget, and the event stream this
-    facade hides.
-    """
-
-    def __init__(self, circuit: Circuit, options: Optional[AtpgOptions] = None):
-        warnings.warn(
-            "AtpgEngine is deprecated; use "
-            "repro.flow.Flow.default().run(circuit, options) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.circuit = circuit
-        self.options = options or AtpgOptions()
-
-    def run(
-        self,
-        faults: Optional[Sequence[Fault]] = None,
-        cssg: Optional[Cssg] = None,
-    ) -> AtpgResult:
-        from repro.flow import Flow
-
-        return Flow.default().run(
-            self.circuit, self.options, faults=faults, cssg=cssg
-        )

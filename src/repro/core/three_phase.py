@@ -27,7 +27,9 @@ Two faulty-machine semantics are available:
 * ``"exact"`` (default) — the faulty circuit is materialized as a real
   netlist and simulated with the exhaustive settling explorer; its state
   is a *set* of possible stable states (see :mod:`repro.core.exact_sim`).
-  Oscillation or set blow-up falls back to ternary, never the reverse.
+  Oscillation or set blow-up falls back to ternary, never the reverse;
+  a fallback search that exhausts is reported aborted
+  (``"ternary-exhausted"``), not undetectable.
 * ``"ternary"`` — the paper's machinery: Eichelberger simulation with
   the fault injected, conservative about races.
 
@@ -127,7 +129,9 @@ class GenerationOutcome:
     semantics: str = "exact"  # which machine produced the outcome
     #: Why an ABORTED fault was given up on: "product-states" when the
     #: product-BFS node budget ran out, "activation-tries" when only the
-    #: activation-target cap stopped the search short of a proof.
+    #: activation-target cap stopped the search short of a proof,
+    #: "ternary-exhausted" when a search after a ternary fallback found
+    #: no test (which does not prove the fault undetectable).
     reason: str = ""
 
     @property
@@ -229,13 +233,24 @@ class ThreePhaseGenerator:
         return _TernaryMachine(self.circuit, fault)
 
     def generate(self, fault: Fault, max_activation_tries: int = 8) -> GenerationOutcome:
-        """Run activation -> justification -> differentiation for ``fault``."""
-        semantics = self.faulty_semantics
-        if semantics == "exact":
+        """Run activation -> justification -> differentiation for ``fault``.
+
+        Under exact semantics a fault whose analysis hits a cap is
+        retried with ternary semantics.  Ternary Φ is conservative and
+        can hide real tests, so an exhausted ternary search then proves
+        nothing: the fault is ABORTED with reason
+        ``"ternary-exhausted"`` instead of UNDETECTABLE.  An explicit
+        ``faulty_semantics="ternary"`` keeps the paper's labelling."""
+        if self.faulty_semantics == "exact":
             try:
                 return self._generate(fault, max_activation_tries, "exact")
             except _Fallback:
                 pass
+            outcome = self._generate(fault, max_activation_tries, "ternary")
+            if outcome.status == UNDETECTABLE:
+                outcome.status = ABORTED
+                outcome.reason = "ternary-exhausted"
+            return outcome
         return self._generate(fault, max_activation_tries, "ternary")
 
     def _generate(

@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.circuit.expr import And, Expr, Not, Or, Var, Xor
 from repro.circuit.netlist import Circuit
 from repro.circuit.parser import _gate_input_order, netlist_to_text, parse_netlist
+from repro.errors import NetlistError
 from repro.stg.parser import parse_stg
 
 __all__ = [
@@ -184,7 +185,11 @@ def _op_splice(circuit: Circuit, rng: random.Random) -> Optional[Mutation]:
 
 def _op_reset_shift(circuit: Circuit, rng: random.Random) -> Optional[Mutation]:
     """Move the reset to a different stable state."""
-    stable = [s for s in circuit.enumerate_stable_states() if s != circuit.reset_state]
+    try:
+        states = circuit.enumerate_stable_states()
+    except NetlistError:  # too wide to enumerate: the op is inapplicable
+        return None
+    stable = [s for s in states if s != circuit.reset_state]
     if not stable:
         return None
     pick = stable[rng.randrange(len(stable))]

@@ -22,7 +22,7 @@ registry onto the heartbeat channel and the parent merges the stream
 into one campaign-wide registry.  Exposition (Prometheus text / JSON)
 lives in :mod:`repro.obs.export`.
 
-**Process-global switch.**  Instrumented hot paths (the arena kernels,
+**Process-global switch.**  Instrumented hot paths (the arena walk kernel,
 the BDD manager) guard their measurement code on :func:`enabled`, which
 is off by default — a plain run pays one cheap check per handle, not
 per operation.  ``enable()`` arms collection into the default registry

@@ -38,10 +38,7 @@ a fault-injection overlay:
   already established is bit-for-bit the scalar semantics;
 * *packed masks* — W faults simulated in parallel, one machine per bit
   of a Python int (paper §5.4), with the per-fault masks baked into the
-  affected gates' compiled code;
-* *chunked* — a large fault universe split into fixed-width words (see
-  :class:`repro.sim.batch.ChunkedFaultSim`), trading single-word
-  bignum arithmetic for cache-sized chunks.
+  affected gates' compiled code.
 
 Four mask families cover the registered fault models
 (:mod:`repro.faultmodels`); each is the identity outside its machine
@@ -104,7 +101,6 @@ def _emit_eval(
     program: Program,
     ones: int,
     ref: Callable[[int], Tuple[str, str]],
-    lit: Callable[[int], str],
     pin_force: Optional[Dict[int, Tuple[int, int]]] = None,
     out_force: Optional[Tuple[int, int]] = None,
     self_ref: Optional[Tuple[str, str]] = None,
@@ -117,13 +113,12 @@ def _emit_eval(
 
     This is the single source of truth for the ternary operator and
     overlay-mask formulas: the per-gate function compiler below and the
-    arena kernels (:mod:`repro.sim.arena`) both emit through it, so the
-    bignum, generator-walk and numpy-slab paths cannot drift apart.
+    arena walk kernel (:mod:`repro.sim.arena`) both emit through it, so
+    the per-gate and generator-walk paths cannot drift apart.
     ``ref(sig)`` names a signal's (l, h) operand pair in the target
-    kernel's vocabulary (list reads, locals, slab rows); ``lit(mask)``
-    renders a per-machine mask constant (an int literal, or an interned
-    word-array name for the slab).  Overlay hooks, each a per-machine
-    mask over the word's bits:
+    kernel's vocabulary (list reads or locals); per-machine mask
+    constants are rendered as int literals.  Overlay hooks, each a
+    per-machine mask over the word's bits:
 
     * ``pin_force[site] = (f0, f1)`` bakes per-pin stuck-at masks into
       the operand reads;
@@ -163,8 +158,8 @@ def _emit_eval(
                     f0, f1 = force
                     stack.append(
                         (
-                            f"(({rl}|{lit(f0)})&{lit(ones & ~f1)})",
-                            f"(({rh}|{lit(f1)})&{lit(ones & ~f0)})",
+                            f"(({rl}|{f0})&{ones & ~f1})",
+                            f"(({rh}|{f1})&{ones & ~f0})",
                         )
                     )
             elif op == OP_NOT:
@@ -193,7 +188,7 @@ def _emit_eval(
                 stack[-1] = (a, b)
             else:  # OP_CONST
                 stack.append(
-                    (lit(0 if arg else ones), lit(ones if arg else 0))
+                    (str(0 if arg else ones), str(ones if arg else 0))
                 )
         return stack.pop()
 
@@ -205,28 +200,28 @@ def _emit_eval(
         lb, hb = emit(partner_program, None)
         a, b = fresh()
         lines.append(
-            f"{indent}{a} = (({l})|({lb}&{lit(and_mask)}))"
-            f"&(({lb})|{lit(ones & ~or_mask)}); "
-            f"{b} = (({h})&(({hb})|{lit(ones & ~and_mask)}))"
-            f"|(({hb})&{lit(or_mask)})"
+            f"{indent}{a} = (({l})|({lb}&{and_mask}))"
+            f"&(({lb})|{ones & ~or_mask}); "
+            f"{b} = (({h})&(({hb})|{ones & ~and_mask}))"
+            f"|(({hb})&{or_mask})"
         )
         l, h = a, b
     if self_and or self_or:
         sl, sh = self_ref
         a, b = fresh()
         lines.append(
-            f"{indent}{a} = (({l})|({sl}&{lit(self_and)}))"
-            f"&({sl}|{lit(ones & ~self_or)}); "
-            f"{b} = (({h})&({sh}|{lit(ones & ~self_and)}))"
-            f"|({sh}&{lit(self_or)})"
+            f"{indent}{a} = (({l})|({sl}&{self_and}))"
+            f"&({sl}|{ones & ~self_or}); "
+            f"{b} = (({h})&({sh}|{ones & ~self_and}))"
+            f"|({sh}&{self_or})"
         )
         l, h = a, b
     if out_force is not None:
         f0, f1 = out_force
         a, b = fresh()
         lines.append(
-            f"{indent}{a} = ({l}|{lit(f0)})&{lit(ones & ~f1)}; "
-            f"{b} = ({h}|{lit(f1)})&{lit(ones & ~f0)}"
+            f"{indent}{a} = ({l}|{f0})&{ones & ~f1}; "
+            f"{b} = ({h}|{f1})&{ones & ~f0}"
         )
         l, h = a, b
     return l, h
@@ -254,7 +249,6 @@ def _codegen_ternary(
         program,
         ones,
         ref=lambda arg: (f"L[{arg}]", f"H[{arg}]"),
-        lit=str,
         pin_force=pin_force,
         out_force=out_force,
         self_ref=(f"L[{gate_index}]", f"H[{gate_index}]"),

@@ -1,14 +1,13 @@
-"""The staged flow API: parity, budgets, events, composition."""
+"""The staged flow API: budgets, events, composition."""
 
 import io
 import json
-import warnings
 
 import pytest
 
-from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
+from repro.benchmarks_data import load_benchmark
 from repro.circuit.faults import fault_universe
-from repro.core.atpg import AtpgEngine, AtpgOptions
+from repro.core.atpg import AtpgOptions
 from repro.flow import (
     Budget,
     BudgetExhausted,
@@ -33,42 +32,6 @@ def strip_cpu(payload):
     clean = dict(payload)
     clean.pop("cpu_seconds")
     return clean
-
-
-def engine_result(circuit, options):
-    """Run the deprecated facade with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return AtpgEngine(circuit, options).run()
-
-
-# -- engine-vs-flow parity ---------------------------------------------------
-
-
-@pytest.mark.parametrize("name", TABLE1_NAMES)
-def test_flow_matches_legacy_engine_on_table1(name):
-    """Acceptance: identical payloads (modulo cpu_seconds) on every
-    Table-1 benchmark."""
-    circuit = load_benchmark(name, "complex")
-    options = AtpgOptions(seed=0)
-    via_flow = Flow.default().run(circuit, options)
-    via_engine = engine_result(circuit, options)
-    assert strip_cpu(via_flow.to_json_dict()) == strip_cpu(
-        via_engine.to_json_dict()
-    )
-
-
-def test_flow_matches_engine_with_collapse_and_output_model():
-    circuit = load_benchmark("converta", "complex")
-    options = AtpgOptions(fault_model="output", seed=5, collapse=True)
-    assert strip_cpu(Flow.default().run(circuit, options).to_json_dict()) == (
-        strip_cpu(engine_result(circuit, options).to_json_dict())
-    )
-
-
-def test_engine_facade_warns_deprecation(celem):
-    with pytest.warns(DeprecationWarning, match="AtpgEngine is deprecated"):
-        AtpgEngine(celem)
 
 
 # -- budgets -----------------------------------------------------------------

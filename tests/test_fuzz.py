@@ -128,6 +128,20 @@ def test_shift_marking_reaches_a_successor_marking():
     assert moved.initial_marking in successors
 
 
+def test_reset_shift_is_inapplicable_past_the_enumeration_limit():
+    """A circuit too wide to enumerate its stable states gets no
+    reset_shift mutation (None), not a NetlistError."""
+    chain = ["A"] + [f"b{i}" for i in range(22)]
+    text = "\n".join(
+        [".model wide", ".inputs A"]
+        + [f".gate {dst} BUF {src}" for src, dst in zip(chain, chain[1:])]
+        + [f".outputs {chain[-1]}",
+           ".reset " + " ".join(f"{n}=0" for n in chain)]
+    )
+    assert parse_netlist(text).n_signals == 23
+    assert mutate_netlist(text, "reset_shift", random.Random(0)) is None
+
+
 def test_unknown_mutation_op_rejected():
     with pytest.raises(ValueError, match="unknown mutation op"):
         mutate_netlist(".model m\n.end\n", "nope", random.Random(0))

@@ -8,7 +8,6 @@ from repro.benchmarks_data import load_benchmark
 from repro.circuit.faults import Fault
 from repro.core.atpg import (
     RESULT_SCHEMA_VERSION,
-    AtpgEngine,
     AtpgOptions,
     AtpgResult,
     CssgSummary,
@@ -16,12 +15,13 @@ from repro.core.atpg import (
 )
 from repro.core.sequences import Test
 from repro.errors import ReproError
+from repro.flow import Flow
 
 
 @pytest.fixture(scope="module")
 def ebergen_result():
     circuit = load_benchmark("ebergen", "complex")
-    return circuit, AtpgEngine(circuit, AtpgOptions(seed=3)).run()
+    return circuit, Flow.default().run(circuit, AtpgOptions(seed=3))
 
 
 def test_fault_round_trip():

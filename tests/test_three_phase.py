@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit.faults import Fault, input_fault_universe
 from repro.circuit.parser import parse_netlist
+from repro.core.atpg import FaultStatus
 from repro.core.three_phase import (
     ABORTED,
     DETECTED,
@@ -77,17 +78,19 @@ def test_generated_tests_are_shortest_possible(celem, gen):
         assert all(h >= n for h in shorter_hits)
 
 
+REDUNDANT_NET = """
+.model red
+.inputs A
+.gate a BUF A
+.expr y = a | (a & y)
+.outputs y
+.reset A=0 a=0 y=0
+"""
+
+
 def test_undetectable_fault_is_proven():
     """A gate with a redundant OR-branch: its pin faults cannot matter."""
-    net = """
-    .model red
-    .inputs A
-    .gate a BUF A
-    .expr y = a | (a & y)
-    .outputs y
-    .reset A=0 a=0 y=0
-    """
-    circuit = parse_netlist(net)
+    circuit = parse_netlist(REDUNDANT_NET)
     gen = ThreePhaseGenerator(build_cssg(circuit))
     y, a = circuit.index("y"), circuit.index("a")
     # The (a & y) branch is absorbed: y's feedback pin stuck-at-0 is
@@ -97,6 +100,27 @@ def test_undetectable_fault_is_proven():
     # ... while the direct pin matters:
     outcome2 = gen.generate(Fault("input", y, a, 0))
     assert outcome2.status == DETECTED
+
+
+def test_ternary_fallback_never_claims_undetectable():
+    """An exhausted search after the exact-to-ternary fallback is no
+    proof: ternary Φ can hide tests, so the fault is aborted."""
+    circuit = parse_netlist(REDUNDANT_NET)
+    cssg = build_cssg(circuit)
+    y, a = circuit.index("y"), circuit.index("a")
+    redundant, testable = Fault("input", y, y, 0), Fault("input", y, a, 0)
+    # A zero-state cap on the faulty set forces the fallback everywhere.
+    gen = ThreePhaseGenerator(cssg, max_faulty_set=0)
+    outcome = gen.generate(redundant)
+    assert outcome.semantics == "ternary"
+    assert outcome.status == ABORTED
+    assert outcome.reason == "ternary-exhausted"
+    assert gen.generate(testable).status == DETECTED
+    # Ternary semantics asked for outright keep the paper's labelling.
+    plain = ThreePhaseGenerator(cssg, faulty_semantics="ternary")
+    assert plain.generate(redundant).status == UNDETECTABLE
+    status = FaultStatus(redundant, ABORTED, reason=outcome.reason)
+    assert FaultStatus.from_json_dict(status.to_json_dict()) == status
 
 
 def test_budget_abort(celem):

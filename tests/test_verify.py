@@ -2,14 +2,15 @@
 
 from repro.benchmarks_data import load_benchmark
 from repro.circuit.faults import input_fault_universe
-from repro.core.atpg import AtpgEngine, AtpgOptions
+from repro.core.atpg import AtpgOptions
 from repro.core.sequences import Test
 from repro.core.verify import audit_result, verify_test_set
+from repro.flow import Flow
 from repro.sgraph.cssg import build_cssg
 
 
 def test_audit_confirms_engine_claims(celem):
-    result = AtpgEngine(celem, AtpgOptions(seed=5)).run()
+    result = Flow.default().run(celem, AtpgOptions(seed=5))
     report = audit_result(result)
     engine_detected = {
         f for f in result.faults if result.statuses[f].status == "detected"
@@ -37,7 +38,7 @@ def test_audit_flags_invalid_vectors(celem):
 
 
 def test_per_test_attribution(celem):
-    result = AtpgEngine(celem, AtpgOptions(seed=5)).run()
+    result = Flow.default().run(celem, AtpgOptions(seed=5))
     report = audit_result(result)
     assert len(report.per_test) == len(result.tests.tests)
     assert set().union(*report.per_test) == report.detected if report.per_test else True
@@ -45,7 +46,7 @@ def test_per_test_attribution(celem):
 
 def test_verify_against_other_universe():
     circuit = load_benchmark("ebergen", "complex")
-    result = AtpgEngine(circuit, AtpgOptions(fault_model="input", seed=5)).run()
+    result = Flow.default().run(circuit, AtpgOptions(fault_model="input", seed=5))
     output_faults = __import__(
         "repro.circuit.faults", fromlist=["output_fault_universe"]
     ).output_fault_universe(circuit)
