@@ -161,9 +161,7 @@ def test_symbolic_image_overhead():
     circuit = wide_handshake(10)
 
     def run_reach():
-        s = SymbolicTcsg(
-            circuit, auto_gc_nodes=5_000, auto_reorder_nodes=1_000
-        )
+        s = SymbolicTcsg(circuit, auto_gc_nodes=5_000)
         return s.count_states(s.reachable())
 
     def run_off():

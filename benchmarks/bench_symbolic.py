@@ -11,12 +11,12 @@ so the BENCH_* trajectory tracking has a machine-readable record:
   The seed path (:class:`SeedMonolithicTraversal`: interleaved 2n-var
   encoding, monolithic relation, ``LegacyBddManager`` — a faithful copy
   of the seed ``sgraph/symbolic.py``) is stuck with that order; the
-  production arena kernel starts from a DFS static order and
-  garbage-collects and sifts in place as the fixpoint grows.  A ≥6x
-  floor is asserted at m=10 (measured ~9-23x against the dict-based
-  PR-5 kernel's ~530ms reference this was ~2x), and GC must keep the
-  new kernel's peak live nodes below the seed manager's final node
-  count.
+  production arena kernel keeps one DFS static order for the whole
+  run and garbage-collects as the fixpoint grows (threshold 1,500
+  live nodes, so every size collects at least once).  A ≥6x floor is
+  asserted at m=10 (measured ~44x; against the dict-based PR-5
+  kernel's ~530ms reference this was ~2x), and GC must keep the new
+  kernel's peak live nodes below the seed manager's final node count.
 
 * **CSSG build timing** — explicit exact vs symbolic construction on
   the largest bundled Table-1 specs, equality-checked.  No speed
@@ -179,7 +179,7 @@ class SeedMonolithicTraversal:
 
 def wide_handshake(m):
     """``m`` buffered request lines and a completion-tree ack — the
-    reorder-sensitive image workload (see module docstring)."""
+    order-sensitive image workload (see module docstring)."""
     c = Circuit(f"wide{m}")
     reset = {}
     for i in range(m):
@@ -213,11 +213,10 @@ def test_kernel_image_microbench():
         new_store = {}
 
         def run_new():
-            s = SymbolicTcsg(circuit, auto_gc_nodes=5_000, auto_reorder_nodes=1_000)
+            s = SymbolicTcsg(circuit, auto_gc_nodes=1_500)
             n = s.count_states(s.reachable())
             new_store["peak"] = s.mgr.stats.peak_nodes
             new_store["gc_passes"] = s.mgr.stats.n_gc_passes
-            new_store["reorders"] = s.mgr.stats.n_reorders
             return n
 
         n_seed = run_seed()
@@ -236,22 +235,20 @@ def test_kernel_image_microbench():
             "seed_total_nodes": seed_store["n_nodes"],
             "new_peak_nodes": new_store["peak"],
             "gc_passes": new_store["gc_passes"],
-            "reorders": new_store["reorders"],
         }
         rows.append(row)
         print(
             f"\nwide{m} ({circuit.n_signals} signals, {n_new} reachable): "
             f"seed {1000 * t_seed:.1f}ms ({seed_store['n_nodes']} nodes, no GC) "
             f"vs new {1000 * t_new:.1f}ms (peak {new_store['peak']} nodes, "
-            f"{new_store['gc_passes']} GC passes, {new_store['reorders']} "
-            f"reorders) -> {speedup:.1f}x"
+            f"{new_store['gc_passes']} GC passes) -> {speedup:.1f}x"
         )
-        # GC + reordering keep the working set bounded: the new kernel's
+        # GC keeps the working set bounded: the new kernel's
         # high-water mark stays below the seed's ever-growing store.
         assert new_store["gc_passes"] >= 1
         assert new_store["peak"] < seed_store["n_nodes"]
         if assert_floor is not None:
-            # Measured ~9-23x on an idle machine (timer noise is high on
+            # Measured ~43x on a 2-vCPU Xeon (timer noise is high on
             # shared runners); the floor leaves generous headroom while
             # still being far above the ~2x the PR-5 dict kernel managed.
             assert speedup >= assert_floor, (

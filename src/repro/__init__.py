@@ -16,7 +16,8 @@ Public API quick map:
   :class:`CssgBuilder` method registry: exact / ternary / hybrid /
   symbolic), :class:`SymbolicTcsg`
 * BDD kernel — :class:`BddManager` (complement edges, unified ITE, GC,
-  in-place sifting; :class:`LegacyBddManager` is the seed oracle)
+  one static variable order; :class:`LegacyBddManager` is the seed
+  oracle)
 * STGs — :func:`parse_stg`, :func:`load_stg`, :func:`build_state_graph`,
   :func:`synthesize`
 * ATPG flow — :class:`Flow` (staged pipeline; ``Flow.default()`` is the

@@ -6,12 +6,11 @@ machines [10]" — i.e. BDD-based image computation.  This package
 provides the production kernel: a hash-consed reduced ordered BDD
 manager with complement edges, a unified ITE apply over one int-keyed
 operation cache, quantification, the fused and-exists relational
-product, arbitrary variable substitution, mark-and-sweep garbage
-collection and in-place sifting (:mod:`repro.bdd.manager`).  The seed
-engine is preserved as :class:`LegacyBddManager`
-(:mod:`repro.bdd.legacy`) — the differential oracle and the benchmark
-baseline.  :mod:`repro.bdd.reorder` hosts the offline variable-order
-exploration utilities on top of the in-place machinery.
+product, arbitrary variable substitution and mark-and-sweep garbage
+collection under a variable order fixed at construction
+(:mod:`repro.bdd.manager`).  The seed engine is preserved as
+:class:`LegacyBddManager` (:mod:`repro.bdd.legacy`) — the differential
+oracle and the benchmark baseline.
 """
 
 from repro.bdd.legacy import LegacyBddManager

@@ -57,6 +57,9 @@ class CssgStats:
     # Symbolic-kernel metrics (zero for the explicit builders):
     peak_bdd_nodes: int = 0
     n_gc_passes: int = 0
+    #: Always 0: the kernel keeps one static variable order.  Kept so
+    #: the serialized ``cssg`` block and the ``reorders`` report column
+    #: stay byte-identical.
     n_reorders: int = 0
     n_image_iterations: int = 0
     # ITE-cache effectiveness of the symbolic kernel.  In-memory /

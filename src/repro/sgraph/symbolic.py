@@ -33,10 +33,13 @@ inputs are rewritten arbitrarily, so its image is
 **Memory discipline.**  Persistent functions (gate functions, excitation
 conditions, the stable set) are registered as GC roots; the traversal
 loops call :meth:`BddManager.checkpoint` with their live frontier
-protected, so growth past the configured thresholds triggers
-mark-and-sweep collection and, past the reorder threshold, in-place
-sifting — peak live nodes stay bounded by the working set, not by the
-history of the computation.
+protected, so growth past the configured threshold triggers
+mark-and-sweep collection — peak live nodes stay bounded by the working
+set, not by the history of the computation.
+
+**Variable order.**  The order is fixed once, at construction:
+:func:`static_order` derives it from the netlist before any BDD exists
+and the manager keeps it for its whole life.
 """
 
 from __future__ import annotations
@@ -44,53 +47,78 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.bdd.reorder import static_order
 from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
 from repro.sgraph.cssg import Cssg
 
-#: Default housekeeping thresholds for the traversal manager: cheap
-#: mark-and-sweep collects from the first threshold on, escalating to a
-#: full in-place sift only when the *live* set keeps growing past the
-#: second (collection alone raises its own next trigger, so a working
-#: set that stays small after GC never pays for sifting).  Both sit
-#: above anything the bundled corpus allocates (peak ~13k nodes) —
-#: these exist for the circuits the explicit builder cannot touch,
-#: where declaration order is rarely the right order.
+#: Default housekeeping threshold for the traversal manager: a
+#: mark-and-sweep collect runs at the first checkpoint past it, and
+#: each collection raises the next trigger to twice the surviving live
+#: set, so a working set that stays small after GC is not re-collected
+#: at every checkpoint.
 DEFAULT_AUTO_GC_NODES = 20_000
-DEFAULT_AUTO_REORDER_NODES = 100_000
+
+
+def static_order(circuit: Circuit) -> List[int]:
+    """A netlist-driven variable order (level → signal index).
+
+    Depth-first from each primary output through gate fanins, emitting
+    signals in visit order: a gate sits immediately above the inputs of
+    its cone, so related signals share adjacent levels — the classic
+    static heuristic that keeps intermediate BDDs of structurally local
+    functions small.  Signals outside every output cone follow, gates
+    first (deepest last), then anything untouched in declaration order.
+    """
+    gate_at = {g.index: g for g in circuit.gates}
+    seen = [False] * circuit.n_signals
+    order: List[int] = []
+
+    def visit(sig: int) -> None:
+        stack = [sig]
+        while stack:
+            s = stack.pop()
+            if seen[s]:
+                continue
+            seen[s] = True
+            order.append(s)
+            gate = gate_at.get(s)
+            if gate is not None:
+                stack.extend(
+                    src for src in reversed(gate.support) if not seen[src]
+                )
+
+    for out in circuit.outputs:
+        visit(out)
+    for gate in circuit.gates:
+        visit(gate.index)
+    for s in range(circuit.n_signals):
+        visit(s)
+    return order
 
 
 class SymbolicTcsg:
     """BDD encoding of one circuit's test-mode behaviour.
 
     Signal *i* is BDD variable *i*; a set of states is a function over
-    those variables.  ``auto_gc_nodes`` / ``auto_reorder_nodes`` arm the
-    manager's checkpoint housekeeping (``None`` disables either).
+    those variables.  ``auto_gc_nodes`` arms the manager's checkpoint
+    garbage collection (``None`` disables it).
     """
 
     def __init__(
         self,
         circuit: Circuit,
         auto_gc_nodes: Optional[int] = DEFAULT_AUTO_GC_NODES,
-        auto_reorder_nodes: Optional[int] = DEFAULT_AUTO_REORDER_NODES,
     ):
         self.circuit = circuit
         self.n = circuit.n_signals
-        self.mgr = BddManager(
-            self.n,
-            auto_gc_nodes=auto_gc_nodes,
-            auto_reorder_nodes=auto_reorder_nodes,
-        )
+        self.mgr = BddManager(self.n, auto_gc_nodes=auto_gc_nodes)
         mgr = self.mgr
-        # Connectivity-driven initial order: declaration order places
-        # related signals arbitrarily far apart (inputs first, their
-        # consumers much later), which is exactly the pattern that makes
-        # intermediate images exponential.  Starting from the netlist
-        # DFS order means dynamic reordering corrects residual badness
-        # instead of digging out of a structural one.
+        # Connectivity-driven order: declaration order places related
+        # signals arbitrarily far apart (inputs first, their consumers
+        # much later), which is exactly the pattern that makes
+        # intermediate images exponential.
         mgr.set_order(static_order(circuit))
         #: Gate functions over the state variables.
         self.gate_fn: Dict[int, int] = {
@@ -344,10 +372,9 @@ class SymbolicTcsg:
         mstats = self.mgr.stats
         stats.peak_bdd_nodes = mstats.peak_nodes
         stats.n_gc_passes = mstats.n_gc_passes
-        stats.n_reorders = mstats.n_reorders
         stats.n_image_iterations = self.n_image_iterations
         stats.n_cache_hits = mstats.cache_hits
         stats.n_cache_lookups = mstats.cache_lookups
-        # Small builds may never cross a GC/sift boundary — flush the
+        # Small builds may never cross a GC boundary — flush the
         # kernel counters so armed runs always see repro_bdd_* series.
         self.mgr.publish_metrics()

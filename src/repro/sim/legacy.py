@@ -12,15 +12,13 @@ strictly faster and the only supported settle path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.circuit.expr import eval_ternary
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit, Gate
 from repro.errors import SimulationError
 from repro.sim.ternary import TernaryState
-
-BatchState = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def _check_kind(fault: Optional[Fault]) -> None:
@@ -105,96 +103,3 @@ def excited_gates(circuit: Circuit, state: int) -> List[int]:
         for g in circuit.gates
         if eval_binary(g.program, state) != bit(state, g.index)
     ]
-
-
-def batch_settle(
-    circuit: Circuit, faults: Sequence[Fault], state: BatchState
-) -> BatchState:
-    """The seed's sweep-based word-parallel Algorithm A + B.
-
-    Force masks are rebuilt per call (this is a test oracle, not a
-    production path)."""
-    from repro._bits import mask
-
-    width = len(faults)
-    ones = mask(width) if width else 0
-    pin_force = {}
-    out_force = {}
-    for fault in faults:
-        _check_kind(fault)
-    for j, fault in enumerate(faults):
-        if fault.kind == "input":
-            per_gate = pin_force.setdefault(fault.gate, {})
-            f0, f1 = per_gate.get(fault.site, (0, 0))
-            if fault.value == 0:
-                f0 |= 1 << j
-            else:
-                f1 |= 1 << j
-            per_gate[fault.site] = (f0, f1)
-        else:
-            f0, f1 = out_force.get(fault.gate, (0, 0))
-            if fault.value == 0:
-                f0 |= 1 << j
-            else:
-                f1 |= 1 << j
-            out_force[fault.gate] = (f0, f1)
-
-    def gate_eval(gate, low, high):
-        overrides = pin_force.get(gate.index)
-        if overrides:
-
-            def getv(sig):
-                l, h = low[sig], high[sig]
-                force = overrides.get(sig)
-                if force is not None:
-                    f0, f1 = force
-                    l = (l | f0) & ~f1
-                    h = (h | f1) & ~f0
-                return (l, h)
-
-        else:
-
-            def getv(sig):
-                return (low[sig], high[sig])
-
-        el, eh = eval_ternary(gate.program, getv, ones)
-        out = out_force.get(gate.index)
-        if out is not None:
-            f0, f1 = out
-            el = (el | f0) & ~f1
-            eh = (eh | f1) & ~f0
-        return el, eh
-
-    low = list(state[0])
-    high = list(state[1])
-    gates = circuit.gates
-    guard = 2 * circuit.n_signals * max(1, width) + 4
-    for _ in range(guard):
-        changed = False
-        for gate in gates:
-            el, eh = gate_eval(gate, low, high)
-            gi = gate.index
-            nl = low[gi] | el
-            nh = high[gi] | eh
-            if nl != low[gi] or nh != high[gi]:
-                low[gi] = nl
-                high[gi] = nh
-                changed = True
-        if not changed:
-            break
-    else:
-        raise SimulationError("batched Algorithm A failed to converge")
-    for _ in range(guard):
-        changed = False
-        for gate in gates:
-            el, eh = gate_eval(gate, low, high)
-            gi = gate.index
-            if el != low[gi] or eh != high[gi]:
-                low[gi] = el
-                high[gi] = eh
-                changed = True
-        if not changed:
-            break
-    else:
-        raise SimulationError("batched Algorithm B failed to converge")
-    return (tuple(low), tuple(high))

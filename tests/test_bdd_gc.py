@@ -1,8 +1,8 @@
-"""Garbage collection, roots, checkpoints and in-place sifting."""
+"""Garbage collection, roots, checkpoints and the static variable order."""
 
 import pytest
 
-from repro.bdd.manager import FALSE, TRUE, BddManager
+from repro.bdd.manager import TRUE, BddManager
 from repro.errors import BddError
 
 NV = 6
@@ -100,64 +100,6 @@ def test_checkpoint_auto_gc_keeps_live_nodes_bounded():
     assert table(mgr, keep) == reference
 
 
-def test_checkpoint_auto_reorder_sifts_in_place():
-    mgr = BddManager(NV, auto_reorder_nodes=8)
-    f = mgr.add_root(blocked_function(mgr))
-    reference = table(mgr, f)
-    big = mgr.size(f)
-    mgr.checkpoint()  # node count is past the threshold: sift runs
-    assert mgr.stats.n_reorders == 1
-    assert mgr.size(f) < big  # the classic function shrinks when paired
-    assert table(mgr, f) == reference  # same handle, same function
-    assert mgr.order() != list(range(NV))
-
-
-def test_sift_preserves_multiple_roots():
-    mgr = BddManager(NV)
-    f = mgr.add_root(blocked_function(mgr))
-    g = mgr.add_root(mgr.apply_or(mgr.var(0), mgr.apply_and(mgr.var(4), mgr.var(2))))
-    tf, tg = table(mgr, f), table(mgr, g)
-    mgr.sift()
-    assert table(mgr, f) == tf
-    assert table(mgr, g) == tg
-    # The manager stays fully usable: canonicity across the new order.
-    assert mgr.apply_and(f, f) == f
-    assert mgr.apply_or(g, FALSE) == g
-    h = mgr.apply_and(f, g)
-    assert table(mgr, h) == [a & b for a, b in zip(tf, tg)]
-
-
-def test_sift_on_fully_packed_store():
-    """Regression: when every slot is live (empty free list), sifting's
-    exploratory swaps must be able to append fresh node slots — the
-    scaffolding used to be sized once and crashed with IndexError."""
-    mgr = BddManager(NV)
-    f = mgr.add_root(blocked_function(mgr))
-    reference = table(mgr, f)
-    mgr.collect()
-    cubes = []
-    i = 0
-    while mgr._free:  # consume every freed slot with live cubes
-        cube = mgr.cube({v: (i >> v) & 1 for v in range(NV)})
-        cubes.append((cube, i))
-        mgr.add_root(cube)
-        i += 1
-    assert not mgr._free
-    mgr.sift()
-    assert table(mgr, f) == reference
-    for cube, bits in cubes:
-        assert mgr.eval(cube, [(bits >> v) & 1 for v in range(NV)]) == 1
-
-
-def test_sift_reduces_blocked_function():
-    mgr = BddManager(NV)
-    f = mgr.add_root(blocked_function(mgr))
-    before = mgr.size(f)
-    after_live = mgr.sift()
-    assert mgr.size(f) < before
-    assert after_live == mgr.n_nodes
-
-
 def test_gc_stress_interleaved_with_ops():
     """Alternating garbage production, collections and new structure:
     node counts shrink at every collect and results stay exact."""
@@ -209,3 +151,29 @@ def test_flip_var_is_substitution():
     assert flipped == mgr.ite(mgr.nvar(1), mgr.var(0), mgr.var(2))
     assert mgr.flip_var(flipped, 1) == f
     assert mgr.flip_var(f, 0) == mgr.ite(mgr.var(1), mgr.nvar(0), mgr.var(2))
+
+
+def test_set_order_installs_permutation_on_fresh_manager():
+    mgr = BddManager(3)
+    mgr.set_order([2, 0, 1])
+    f = mgr.apply_and(mgr.var(0), mgr.var(2))
+    # Variable 2 now sits on top: f's root node tests it first.
+    assert mgr._var[f >> 1] == 2
+    assert mgr.eval(f, [1, 0, 1]) == 1 and mgr.eval(f, [1, 1, 0]) == 0
+
+
+@pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3], [2, 1, 0, 3]])
+def test_set_order_rejects_non_permutation(order):
+    mgr = BddManager(3)
+    with pytest.raises(BddError, match="permutation"):
+        mgr.set_order(order)
+
+
+def test_set_order_rejects_multi_level_nodes():
+    mgr = BddManager(3)
+    mgr.set_order([1, 2, 0])  # single-variable nodes only: allowed
+    mgr.apply_and(mgr.var(0), mgr.var(1))
+    with pytest.raises(BddError, match="multi-level"):
+        mgr.set_order([0, 1, 2])
+    # The rejected call left the installed order untouched.
+    assert mgr._level2var == [1, 2, 0]

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
+from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES, load_benchmark
 from repro.sgraph.cssg import build_cssg
 from repro.sgraph.explore import settle_report
-from repro.sgraph.symbolic import SymbolicTcsg
+from repro.sgraph.symbolic import SymbolicTcsg, static_order
 
 
 def explicit_tcsg_reachable(circuit, reset):
@@ -133,3 +133,20 @@ def test_symbolic_cssg_prunes_nonconfluence(race):
     assert symbolic.edges == explicit.edges
     # The racy vector AB=10 from reset must be absent.
     assert 0b01 not in symbolic.valid_patterns(symbolic.reset)
+
+
+@pytest.mark.parametrize(
+    "name,style",
+    [(n, "complex") for n in TABLE1_NAMES]
+    + [(n, "two-level") for n in TABLE2_NAMES],
+)
+def test_static_order_is_a_deterministic_permutation(name, style):
+    circuit = load_benchmark(name, style)
+    order = static_order(circuit)
+    assert sorted(order) == list(range(circuit.n_signals))
+    assert order[0] == circuit.outputs[0]
+    # Deterministic: same answer again, and on an independent synthesis.
+    assert static_order(circuit) == order
+    assert static_order(load_benchmark.__wrapped__(name, style)) == order
+    # The symbolic builder installs exactly this order.
+    assert SymbolicTcsg(circuit).mgr._level2var == order

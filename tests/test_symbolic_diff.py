@@ -8,9 +8,9 @@ through a tiny GC threshold to prove collection never changes results.
 A third battery mirrors one op sequence (gate functions, quantification,
 relational products, renames) on the arena :class:`BddManager` and the
 seed :class:`LegacyBddManager`, comparing function *semantics*
-(truth vectors and model counts) — with mark-and-sweep collections and
-in-place sifts fired mid-sequence on the arena side only, which must
-not change any answer.
+(truth vectors and model counts) — with mark-and-sweep collections
+fired mid-sequence on the arena side only, which must not change any
+answer.
 """
 
 import random
@@ -174,7 +174,7 @@ def _mirror_ops(mgr, circuit, checkpoint):
         live.append(f)
         out.append(_truth_vector(mgr, f, n, n_vars))
         if k == len(circuit.gates) // 2:
-            checkpoint(mgr, live)  # mid-build GC + reorder (arena only)
+            checkpoint(mgr, live)  # mid-build GC (arena only)
     # The stable-set conjunction (every gate agrees with its function).
     stable = mgr.and_all(
         mgr.apply_iff(mgr.var(cur(g.index)), gate_fns[g.index])
@@ -202,21 +202,17 @@ def _mirror_ops(mgr, circuit, checkpoint):
 
 def _arena_checkpoint(mgr, live):
     mgr.collect(live)
-    mgr.sift(live)
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_random_netlists_arena_bdd_equals_legacy(seed):
     """The arena kernel and the seed manager agree on every fingerprint
-    of the mirrored op sequence, despite mid-sequence GC and sifting
-    (tiny auto thresholds add further collections and reorders inside
-    individual operations)."""
+    of the mirrored op sequence, despite mid-sequence collections on
+    the arena side."""
     circuit = random_circuit(seed)
     if circuit is None:
         pytest.skip("no stable state for this seed")
-    arena = BddManager(
-        2 * circuit.n_signals, auto_gc_nodes=64, auto_reorder_nodes=48
-    )
+    arena = BddManager(2 * circuit.n_signals, auto_gc_nodes=64)
     legacy = LegacyBddManager(2 * circuit.n_signals)
     got = _mirror_ops(arena, circuit, _arena_checkpoint)
     want = _mirror_ops(legacy, circuit, lambda mgr, live: None)
