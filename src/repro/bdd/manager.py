@@ -699,7 +699,13 @@ class BddManager:
                 below = (1 << (n - pos)) - below
             return below << (pos - depth)
 
-        return count(f, 0)
+        try:
+            return count(f, 0)
+        finally:
+            # The self-recursive closure's cell refers back to it: clear
+            # it so the closure (and the manager it captures) dies by
+            # reference counting instead of waiting for the cyclic GC.
+            del count
 
     def sat_iter(self, f: int, over: Optional[Sequence[int]] = None) -> Iterator[Dict[int, int]]:
         """Yield satisfying assignments as ``{variable: value}`` dicts,
@@ -738,7 +744,10 @@ class BddManager:
             else:
                 raise BddError("sat_iter: node above enumeration set")
 
-        yield from rec(f, 0, {})
+        try:
+            yield from rec(f, 0, {})
+        finally:
+            del rec  # break the closure cycle, as in sat_count
 
     def support(self, f: int) -> List[int]:
         """Variable indices f depends on."""

@@ -26,7 +26,10 @@ This module owns no settling machinery of its own: all exploration
 routes through :func:`repro.sgraph.explore.settle_report`, whose
 excited-gate enumeration is the compiled function of
 :mod:`repro.sim.engine` — the same engine every other simulation
-workload shares.
+workload shares.  Its reports are memoized on the materialized
+netlist's compiled form, so the differentiation search re-settling a
+(state, pattern) pair it has met before costs a lookup, and the memo
+is freed with the netlist when the fault is done.
 """
 
 from __future__ import annotations

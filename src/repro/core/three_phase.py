@@ -50,6 +50,7 @@ from repro.circuit.faults import Fault, materialize_fault
 from repro.circuit.netlist import Circuit
 from repro.core import exact_sim
 from repro.sgraph.cssg import Cssg
+from repro.sgraph.explore import publish_settle_metrics
 from repro.sim import ternary
 
 DETECTED = "detected"
@@ -63,6 +64,8 @@ class _Fallback(Exception):
 
 class _TernaryMachine:
     """Faulty machine under the paper's ternary semantics."""
+
+    semantics = "ternary"
 
     def __init__(self, circuit: Circuit, fault: Fault):
         self.circuit = circuit
@@ -85,6 +88,8 @@ class _TernaryMachine:
 class _ExactMachine:
     """Faulty machine as a set of possible stable states of the
     materialized faulty netlist."""
+
+    semantics = "exact"
 
     def __init__(self, circuit: Circuit, fault: Fault, cap: int, max_set: int):
         self.circuit = circuit
@@ -225,13 +230,6 @@ class ThreePhaseGenerator:
 
     # -- full per-fault flow ----------------------------------------------
 
-    def _machine(self, fault: Fault, semantics: str):
-        if semantics == "exact":
-            return _ExactMachine(
-                self.circuit, fault, self.settle_cap, self.max_faulty_set
-            )
-        return _TernaryMachine(self.circuit, fault)
-
     def generate(self, fault: Fault, max_activation_tries: int = 8) -> GenerationOutcome:
         """Run activation -> justification -> differentiation for ``fault``.
 
@@ -242,22 +240,31 @@ class ThreePhaseGenerator:
         ``"ternary-exhausted"`` instead of UNDETECTABLE.  An explicit
         ``faulty_semantics="ternary"`` keeps the paper's labelling."""
         if self.faulty_semantics == "exact":
+            machine = _ExactMachine(
+                self.circuit, fault, self.settle_cap, self.max_faulty_set
+            )
             try:
-                return self._generate(fault, max_activation_tries, "exact")
+                return self._generate(fault, max_activation_tries, machine)
             except _Fallback:
                 pass
-            outcome = self._generate(fault, max_activation_tries, "ternary")
+            finally:
+                publish_settle_metrics(machine.faulty)
+            outcome = self._generate(
+                fault, max_activation_tries, _TernaryMachine(self.circuit, fault)
+            )
             if outcome.status == UNDETECTABLE:
                 outcome.status = ABORTED
                 outcome.reason = "ternary-exhausted"
             return outcome
-        return self._generate(fault, max_activation_tries, "ternary")
+        return self._generate(
+            fault, max_activation_tries, _TernaryMachine(self.circuit, fault)
+        )
 
     def _generate(
-        self, fault: Fault, max_activation_tries: int, semantics: str
+        self, fault: Fault, max_activation_tries: int, machine
     ) -> GenerationOutcome:
+        semantics = machine.semantics
         cssg = self.cssg
-        machine = self._machine(fault, semantics)
         activations = self.activation_states(fault)
         budget = self.max_product_states
         explored_total = 0

@@ -11,8 +11,11 @@ synchronous FSM, so standard sequential ATPG applies (paper §5).
 Construction is a breadth-first traversal from the reset state: for each
 stable state, every input pattern (optionally limited to a maximum number
 of simultaneously changing pins) is analysed with
-:func:`repro.sgraph.explore.settle_report`.  Reports are memoized on the
-post-R_I state, since distinct (state, pattern) pairs can coincide there.
+:func:`repro.sgraph.explore.settle_report`.  Within one build, verdicts
+are memoized on the post-R_I state, since distinct (state, pattern) pairs
+can coincide there; :class:`CssgStats` thus counts each distinct start
+once.  That per-build memo sits on top of the per-circuit report memo of
+``settle_report``, which also serves rebuilds of the same circuit.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import (
 from repro._bits import hamming
 from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
-from repro.sgraph.explore import settle_report
+from repro.sgraph.explore import publish_settle_metrics, settle_report
 
 
 @dataclass
@@ -366,7 +369,10 @@ class ExplicitCssgBuilder:
             if method == "ternary":
                 return ternary_outcome(started)
             report = settle_report(circuit, started, cap_settle)
-            if report.nonconfluent:
+            # A truncated report's stable set is partial and depends on
+            # the traversal order: class it with the oscillating ones,
+            # never as non-confluent.
+            if report.nonconfluent and not report.truncated:
                 stats.n_nonconfluent += 1
                 return None
             if report.oscillating or report.truncated:
@@ -385,7 +391,9 @@ class ExplicitCssgBuilder:
             )
             return report.unique_stable
 
-        return frontier_traverse(cssg, analyse, max_input_changes, cap_states)
+        frontier_traverse(cssg, analyse, max_input_changes, cap_states)
+        publish_settle_metrics(circuit)
+        return cssg
 
 
 class SymbolicCssgBuilder:

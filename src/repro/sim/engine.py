@@ -311,7 +311,6 @@ class CompiledCircuit:
     """Everything the engine precomputes once per circuit."""
 
     def __init__(self, circuit: Circuit):
-        self.circuit = circuit
         self.n_inputs = circuit.n_inputs
         self.n_signals = circuit.n_signals
         self.gate_index: Tuple[int, ...] = tuple(g.index for g in circuit.gates)
@@ -340,6 +339,9 @@ class CompiledCircuit:
         self._engines: "OrderedDict[Tuple[Tuple[Fault, ...], int], SimEngine]" = (
             OrderedDict()
         )
+        #: the circuit's settle-report memo, a
+        #: :class:`repro.sgraph.explore.SettleMemo` made on first use.
+        self.settle_memo = None
 
 
 def compiled(circuit: Circuit) -> CompiledCircuit:
