@@ -6,19 +6,19 @@ settling time on inverter chains of growing length and check the growth
 is polynomial (time ratio bounded by ~cubic in the size ratio, allowing
 interpreter noise), not exponential.
 
-A second experiment pits the compiled event-driven engine against the
-seed's sweep implementation (preserved in :mod:`repro.sim.legacy`) on
-the largest bundled benchmark: ~2.5x measured on an idle machine, with
-a 1.5x floor asserted (noise headroom for shared CI runners); the
+A second experiment pits the compiled settle kernel against the seed's
+sweep implementation (preserved in :mod:`repro.sim.legacy`) on the
+largest bundled benchmark: ~3.9x measured on a shared 2-core container,
+with a 1.5x floor asserted (noise headroom for shared CI runners); the
 printed ratio keeps regressions visible in CI logs.
 
-A third experiment benchmarks wide packed fault simulation: the arena
-walk kernel (:meth:`FaultBatch.walk`) against the PR-5 chunked path,
-reconstructed inline as a list of 64-wide ``FaultBatch`` lanes each
-re-settling through the per-gate-closure worklist engine.  At a
-2560-machine universe the walk kernel measures ~24x (and the gap grows
-with width); a ≥10x floor and an absolute words·gates/sec throughput
-floor are asserted.  Results land in
+A third experiment benchmarks wide packed fault simulation: the walk
+kernel (:meth:`SimEngine.walk`) against the PR-5 chunked path,
+reconstructed inline as a list of 64-wide lanes of the per-gate worklist
+engine (:class:`repro.sim.legacy.WorklistEngine`) passing bignum state
+tuples.  At a 2560-machine universe the walk kernel measures ~24x (and
+the gap grows with width); a ≥10x floor and an absolute
+words·gates/sec throughput floor are asserted.  Results land in
 ``benchmarks/out/BENCH_ternary_cost.json``.
 """
 
@@ -151,8 +151,8 @@ def test_engine_speedup_vs_seed_on_largest_benchmark():
         "engine_us_per_sweep": round(1e6 * t_engine, 1),
         "speedup": round(speedup, 2),
     }
-    # Measured ~2.6x on an idle machine; the asserted floor leaves
-    # headroom for noisy shared CI runners and interpreter-version
+    # Measured ~3.9x on a shared 2-core container; the asserted floor
+    # leaves headroom for noisy shared CI runners and interpreter-version
     # variance — the printed ratio above is what CI logs watch.
     assert speedup >= 1.5, f"engine speedup {speedup:.2f}x below the 1.5x floor"
 
@@ -162,32 +162,40 @@ def test_engine_speedup_vs_seed_on_largest_benchmark():
 
 class Pr5ChunkedSim:
     """The PR-5 wide-universe path, reconstructed: split the fault list
-    into 64-machine :class:`FaultBatch` lanes and run each through the
-    per-gate-closure worklist engine with bignum state tuples.  This is
-    byte-for-byte the control flow the old ``ChunkedFaultSim`` used, so
-    the benchmark measures exactly what the arena walk replaced."""
+    into 64-machine lanes of the per-gate worklist engine and step each
+    with bignum state tuples, copied in and out of the engine's word
+    lists on every cycle.  This is the control flow the old
+    ``ChunkedFaultSim`` used, so the benchmark measures what the walk
+    kernel replaced."""
 
     def __init__(self, circuit, faults, chunk_width=64):
-        from repro.sim.batch import FaultBatch
-
-        self.batches = [
-            FaultBatch(circuit, faults[o:o + chunk_width])
+        self.lanes = [
+            legacy.WorklistEngine(circuit, faults[o:o + chunk_width])
             for o in range(0, len(faults), chunk_width)
         ]
         self.chunk_width = chunk_width
 
+    @staticmethod
+    def _step(lane, state, pattern):
+        low, high = list(state[0]), list(state[1])
+        lane.apply_pattern(low, high, pattern)
+        return (tuple(low), tuple(high))
+
     def run(self, reset, patterns, goods):
         cw = self.chunk_width
-        states = [b.reset_and_settle(reset) for b in self.batches]
+        states = []
+        for lane in self.lanes:
+            low, high = lane.reset(reset)
+            states.append((tuple(low), tuple(high)))
         det = 0
-        for off, (b, s) in enumerate(zip(self.batches, states)):
-            det |= b.observe(s, reset) << (off * cw)
+        for off, (lane, s) in enumerate(zip(self.lanes, states)):
+            det |= lane.observe(*s, reset) << (off * cw)
         for p, g in zip(patterns, goods):
             states = [
-                b.apply_settled(s, p) for b, s in zip(self.batches, states)
+                self._step(lane, s, p) for lane, s in zip(self.lanes, states)
             ]
-            for off, (b, s) in enumerate(zip(self.batches, states)):
-                det |= b.observe(s, g) << (off * cw)
+            for off, (lane, s) in enumerate(zip(self.lanes, states)):
+                det |= lane.observe(*s, g) << (off * cw)
         return det
 
 
@@ -198,7 +206,7 @@ def test_packed_fault_sim_speedup_and_throughput():
     from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
     from repro.circuit.faults import fault_universe
     from repro.sgraph.cssg import build_cssg
-    from repro.sim.batch import FaultBatch
+    from repro.sim.engine import engine_for
 
     circuit = max(
         (load_benchmark(name, "complex") for name in TABLE1_NAMES),
@@ -218,13 +226,13 @@ def test_packed_fault_sim_speedup_and_throughput():
         goods.append(good)
 
     old = Pr5ChunkedSim(circuit, faults)
-    batch = FaultBatch(circuit, faults)
+    engine = engine_for(circuit, faults, width)
 
     def run_old():
         return old.run(cssg.reset, patterns, goods)
 
     def run_walk():
-        walk = batch.walk(cssg.reset)
+        walk = engine.walk(cssg.reset)
         det = walk.observe(cssg.reset)
         for pattern, g in zip(patterns, goods):
             det |= walk.step(pattern, g)

@@ -197,13 +197,13 @@ class Circuit:
         self._finalized = True
         return self
 
-    # -- derived structure (cached; consumed by the compiled engine) ----
+    # -- derived structure (cached) -------------------------------------
 
     def fanouts(self) -> Tuple[Tuple[int, ...], ...]:
         """For every signal index, the positions (into ``self.gates``) of
         the gates whose support reads that signal.  Computed once and
-        cached; the event-driven simulation engine seeds its worklist
-        from these lists."""
+        cached; fault cohorts and the worklist reference simulator in
+        :mod:`repro.sim.legacy` walk these lists."""
         cached = getattr(self, "_fanouts", None)
         if cached is None:
             lists: List[List[int]] = [[] for _ in range(self.n_signals)]

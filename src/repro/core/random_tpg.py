@@ -1,10 +1,11 @@
 """Random test pattern generation on the CSSG (paper §5.4).
 
 Random TPG walks the CSSG from the reset state choosing a uniformly random
-valid input vector at each step, while a :class:`FaultBatch` simulates all
-still-undetected faulty machines in parallel.  The paper reports 40–80%
-(average ~45%) of faults falling to this step at negligible CPU cost; the
-remainder go to the 3-phase deterministic generator.
+valid input vector at each step, while one packed
+:class:`~repro.sim.engine.SimEngine` simulates all still-undetected faulty
+machines in parallel.  The paper reports 40–80% (average ~45%) of faults
+falling to this step at negligible CPU cost; the remainder go to the
+3-phase deterministic generator.
 
 Detection is conservative exactly as in the paper: a fault counts as
 covered only when some primary output *definitely* differs (ternary
@@ -19,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.circuit.faults import Fault
 from repro.core.sequences import Test
 from repro.sgraph.cssg import Cssg
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for
 
 
 def random_tpg(
@@ -38,10 +39,10 @@ def random_tpg(
     as a :class:`Test` — trimmed to its last useful cycle — whenever it
     detects at least one previously undetected fault.
 
-    One :class:`FaultBatch` holds the whole fault universe, and each
-    walk runs through the compiled arena kernel — state lives inside
-    the kernel and each cycle returns its detection mask directly
-    (:meth:`~repro.sim.batch.FaultBatch.walk`).
+    One packed engine holds the whole fault universe, one machine per
+    fault, and each walk runs through its compiled kernel — state lives
+    inside the kernel and each cycle returns its detection mask
+    directly (:meth:`~repro.sim.engine.SimEngine.walk`).
 
     Cooperative hooks for the staged flow: ``rng`` supplies the random
     stream (must be freshly seeded for reproducibility; overrides
@@ -53,8 +54,8 @@ def random_tpg(
     circuit = cssg.circuit
     if rng is None:
         rng = random.Random(seed)
-    batch = FaultBatch(circuit, faults)
-    undetected = batch.ones
+    engine = engine_for(circuit, faults, len(faults))
+    undetected = engine.ones
     detected_by: Dict[Fault, Tuple[int, ...]] = {}
     tests: List[Test] = []
 
@@ -63,7 +64,7 @@ def random_tpg(
             break
         if should_stop is not None and should_stop():
             break
-        walk = batch.walk(cssg.reset)
+        walk = engine.walk(cssg.reset)
         good = cssg.reset
         patterns: List[int] = []
         walk_new: List[Tuple[int, int]] = []  # (cycle index, new-detections mask)

@@ -75,11 +75,7 @@ class _TernaryMachine:
         return ternary.settle_from_reset(self.circuit, reset_state, self.fault)
 
     def apply(self, state, pattern: int):
-        # States here are always fixpoints this machine itself produced,
-        # so the dirty-seeded fast path applies.
-        return ternary.apply_pattern_settled(
-            self.circuit, state, pattern, self.fault
-        )
+        return ternary.apply_pattern(self.circuit, state, pattern, self.fault)
 
     def detects(self, good_state: int, state) -> bool:
         return ternary.detects(self.circuit, good_state, state)

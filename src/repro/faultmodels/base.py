@@ -82,18 +82,13 @@ class FaultModel:
         updating the engine's mask dictionaries (``pin_force`` /
         ``out_force`` / ``self_and`` / ``self_or`` / ``bridges``).
 
-        These mask tables are the *only* fault contract: the arena walk
-        kernel (:mod:`repro.sim.arena`) compiles from the same
-        dictionaries, so a model implemented here
-        runs on every simulation path without further work."""
+        These mask tables are the *only* fault contract: the walk
+        kernel (:mod:`repro.sim.arena`) compiles from them, and an
+        ``out_force`` entry also pre-sets its node at reset
+        (:meth:`~repro.sim.engine.SimEngine.reset_words`), so a model
+        implemented here runs on every simulation path without further
+        work."""
         raise NotImplementedError
-
-    def forced_reset(self, circuit: Circuit, fault: Fault, reset_state: int) -> int:
-        """The reset state a tester forces on the *faulty* machine.
-
-        Default: unchanged.  The output stuck-at model pre-sets the
-        stuck node (it never held the fault-free reset value)."""
-        return reset_state
 
     # -- structural collapsing -----------------------------------------
 

@@ -184,10 +184,3 @@ class OutputStuckAtModel(_StuckAtModel):
         else:
             f1 |= 1 << bit
         engine.out_force[fault.gate] = (f0, f1)
-
-    def forced_reset(self, circuit: Circuit, fault: Fault, reset_state: int) -> int:
-        """Pre-set the stuck node: physically it never held the
-        fault-free reset value, and lifting it from the wrong polarity
-        would let Algorithm A's lub transient poison feedback loops with
-        spurious Φ (see :func:`repro.sim.ternary.settle_from_reset`)."""
-        return (reset_state & ~(1 << fault.site)) | (fault.value << fault.site)

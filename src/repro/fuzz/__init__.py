@@ -10,10 +10,10 @@ feedback netlists for the settling oracles.  Every scenario runs
 through the model-dispatched differential oracle pairs
 (:mod:`repro.fuzz.oracles`):
 
-* compiled engine vs the seed's sweep settling,
+* compiled settle kernel vs the seed's sweep settling,
 * explicit-exact vs symbolic CSSG construction,
 * fault overlays vs materialized faulty netlists,
-* arena walk kernel vs state-passing ``FaultBatch`` fault sim,
+* packed walk kernel vs the per-gate worklist fault sim,
 * plain vs incremental re-ATPG across mutations
   (:mod:`repro.fuzz.mutate`).
 

@@ -5,7 +5,7 @@ any disagreement is a :class:`Divergence` (a bug in one of the two, by
 construction — there is no "expected output" file anywhere):
 
 ============   ====================================================
-``settle``     compiled ternary engine vs the seed's sweep-based
+``settle``     compiled ternary kernel vs the seed's sweep-based
                legacy settling, over random ternary states and
                stuck-at overlays (the only kinds the legacy oracle
                implements)
@@ -14,8 +14,8 @@ construction — there is no "expected output" file anywhere):
 ``faults``     packed fault overlays vs physically materialized
                faulty netlists along random valid walks, for every
                registered fault model
-``kernels``    arena walk kernel vs the state-passing
-               :class:`~repro.sim.batch.FaultBatch` reference,
+``kernels``    packed walk kernel vs the per-gate worklist
+               reference (:class:`~repro.sim.legacy.WorklistEngine`),
                detection words and packed states per step
 ``incremental``  plain :func:`~repro.campaign.runner.execute_job` vs
                the cohort-incremental path: cold byte-identity, warm
@@ -59,7 +59,7 @@ from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
 from repro.sgraph.cssg import Cssg, build_cssg
 from repro.sgraph.symbolic import SymbolicTcsg
 from repro.sim import legacy, ternary
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for
 
 __all__ = [
     "ORACLES",
@@ -250,20 +250,20 @@ def _oracle_kernels(ctx: _Ctx) -> Tuple[int, List[str]]:
         good = cssg.edges[good][pattern]
         trail.append((pattern, good))
 
-    batch = FaultBatch(c, faults)
-    state = batch.reset_and_settle(cssg.reset)
-    walk = batch.walk(cssg.reset)
+    ref = legacy.WorklistEngine(c, faults)
+    low, high = ref.reset(cssg.reset)
+    walk = engine_for(c, faults, len(faults)).walk(cssg.reset)
     checks, bad = 0, []
 
     def compare(step: str, pattern=None, good_state=None) -> None:
-        nonlocal checks, state
+        nonlocal checks
         if pattern is not None:
-            state = batch.apply_settled(state, pattern)
-        ref = batch.observe(state, good_state)
+            ref.apply_pattern(low, high, pattern)
+        want = ref.observe(low, high, good_state)
         w = walk.observe(good_state) if pattern is None else walk.step(pattern, good_state)
         checks += 1
-        if w != ref or walk.state() != state:
-            bad.append(f"{step}: batch det={ref:#x} walk det={w:#x}")
+        if w != want or walk.state() != (tuple(low), tuple(high)):
+            bad.append(f"{step}: worklist det={want:#x} walk det={w:#x}")
 
     compare("reset", good_state=cssg.reset)
     for i, (pattern, good) in enumerate(trail):

@@ -1,20 +1,18 @@
 """Simulation engines.
 
-* :mod:`repro.sim.engine` — the compiled, event-driven settle core every
-  workload shares: per-circuit code generation, fanout-driven worklist
-  Algorithm A/B, pluggable fault overlays (none / scalar / packed).
-* :mod:`repro.sim.ternary` — scalar ternary simulation (Eichelberger's
-  Algorithms A and B) with optional single-fault injection; this is the
-  conservative race/oscillation detector of paper §5.4.  Thin adapter
-  over the engine.
-* :mod:`repro.sim.arena` — the flat-buffer fast path: a compiled
-  generator walk kernel (state held in generator locals, one ``send``
-  per test cycle).
-* :mod:`repro.sim.batch` — word-parallel ternary simulation of many
-  faulty machines at once (parallel fault simulation, Seshu-style).
-  Thin adapter over the engine and the arena walk kernel.
-* :mod:`repro.sim.legacy` — the seed's sweep-based reference
-  implementations, kept exclusively as the parity/benchmark oracle.
+* :mod:`repro.sim.engine` — :class:`SimEngine`, one circuit + one fault
+  overlay (none / scalar / packed) at one word width, and the
+  per-circuit compiled form it shares with the exact settle explorer.
+* :mod:`repro.sim.arena` — the one ternary settle kernel: a generated
+  generator per overlay (state held in generator locals, one ``send``
+  per test cycle) running Eichelberger's Algorithms A and B.  It
+  serves scalar settling and word-parallel fault simulation alike.
+* :mod:`repro.sim.ternary` — scalar ternary simulation with optional
+  single-fault injection; the conservative race/oscillation detector of
+  paper §5.4.  Thin adapter over width-1 engines.
+* :mod:`repro.sim.legacy` — the seed's sweep-based implementations and
+  the per-gate worklist loop the kernel replaced, kept exclusively as
+  the parity/benchmark references.
 """
 
 from repro.sim.ternary import (
@@ -24,13 +22,11 @@ from repro.sim.ternary import (
     to_binary,
     settle,
     apply_pattern,
-    apply_pattern_settled,
     settle_from_reset,
     detects,
     phi_signals,
 )
-from repro.sim.arena import ArenaKernel, ArenaWalk, arena_for
-from repro.sim.batch import FaultBatch
+from repro.sim.arena import ArenaWalk
 from repro.sim.engine import SimEngine, compiled, engine_for
 
 __all__ = [
@@ -40,14 +36,10 @@ __all__ = [
     "to_binary",
     "settle",
     "apply_pattern",
-    "apply_pattern_settled",
     "settle_from_reset",
     "detects",
     "phi_signals",
-    "ArenaKernel",
     "ArenaWalk",
-    "arena_for",
-    "FaultBatch",
     "SimEngine",
     "compiled",
     "engine_for",

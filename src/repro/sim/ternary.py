@@ -12,10 +12,10 @@ uncertainty propagates until a fixpoint.  **Algorithm B** then repeatedly
 re-evaluates every gate; values can only resolve downward (Φ → 0/1).
 Both fixpoints exist because the ternary gate operators are monotone in
 the information order; because they are *unique* for any fair evaluation
-order, this module is a thin adapter over the compiled event-driven
-engine (:mod:`repro.sim.engine`) — it contains no settle loop of its
-own, and its results are bit-identical to the historical sweep
-implementation preserved in :mod:`repro.sim.legacy`.
+order, this module is a thin adapter over the width-1 engines of
+:mod:`repro.sim.engine` — it contains no settle loop of its own, and
+its results are bit-identical to the historical sweep implementation
+preserved in :mod:`repro.sim.legacy`.
 
 If the final state is fully definite it is the *unique* stable successor
 under the unbounded gate-delay model; any remaining Φ conservatively
@@ -30,7 +30,7 @@ machines (three-phase generation) pay the overlay compilation once.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro._bits import mask
 from repro.circuit.faults import Fault
@@ -79,7 +79,7 @@ def _unpack(tstate: TernaryState, n: int) -> Tuple[List[int], List[int]]:
     )
 
 
-def _pack(L: List[int], H: List[int]) -> TernaryState:
+def _pack(L: Sequence[int], H: Sequence[int]) -> TernaryState:
     low = 0
     high = 0
     for i in range(len(L) - 1, -1, -1):
@@ -98,9 +98,7 @@ def settle(
     Accepts arbitrary start states (every gate is re-examined).
     """
     engine = _engine(circuit, fault)
-    L, H = _unpack(tstate, circuit.n_signals)
-    engine.settle(L, H)
-    return _pack(L, H)
+    return _pack(*engine.settle(*_unpack(tstate, circuit.n_signals)))
 
 
 def apply_pattern(
@@ -114,10 +112,7 @@ def apply_pattern(
 
     Accepts arbitrary ``tstate`` values, exactly like the historical
     implementation: every gate is re-examined, so an unsettled start
-    state is fully settled rather than silently preserved.  Callers
-    that can guarantee a settled state (the per-fault machines of the
-    three-phase generator, batched walks) use the engine's dirty-seeded
-    fast path instead."""
+    state is fully settled rather than silently preserved."""
     imask = mask(circuit.n_inputs)
     low, high = tstate
     low = (low & ~imask) | (~pattern & imask)
@@ -125,46 +120,14 @@ def apply_pattern(
     return settle(circuit, (low, high), fault)
 
 
-def apply_pattern_settled(
-    circuit: Circuit,
-    tstate: TernaryState,
-    pattern: int,
-    fault: Optional[Fault] = None,
-) -> TernaryState:
-    """Fast-path test cycle for **settled** states.
-
-    ``tstate`` must be a fixpoint produced by :func:`settle`,
-    :func:`settle_from_reset`, or this function under the same fault —
-    the engine then only re-examines the fanout of the inputs that
-    actually changed.  Feeding an unsettled state here returns garbage;
-    use :func:`apply_pattern` when in doubt."""
-    engine = _engine(circuit, fault)
-    L, H = _unpack(tstate, circuit.n_signals)
-    engine.apply_pattern(L, H, pattern)
-    return _pack(L, H)
-
-
 def settle_from_reset(
     circuit: Circuit, reset_state: int, fault: Optional[Fault] = None
 ) -> TernaryState:
-    """Force the reset state (as a tester would) and settle.
-
-    The fault's model may adjust the forced state first
-    (:meth:`~repro.faultmodels.FaultModel.forced_reset`): an *output*
-    stuck-at pre-sets the stuck node to its stuck value — physically it
-    never held the fault-free reset value, and lifting it from the
-    wrong polarity would let Algorithm A's lub transient poison
-    feedback loops with spurious Φ.  The rest of the circuit is forced
-    to the reset values and then settles (paper §4: "forcing s1 as
-    reset state").
-    """
-    if fault is not None:
-        from repro.faultmodels import model_for_kind
-
-        reset_state = model_for_kind(fault.kind).forced_reset(
-            circuit, fault, reset_state
-        )
-    return settle(circuit, from_binary(reset_state, circuit.n_signals), fault)
+    """Force the reset state (as a tester would) and settle; an
+    *output* stuck-at node starts at its stuck value
+    (:meth:`~repro.sim.engine.SimEngine.reset_words`)."""
+    engine = _engine(circuit, fault)
+    return _pack(*engine.settle(*engine.reset_words(reset_state)))
 
 
 def detects(circuit: Circuit, good_state: int, faulty: TernaryState) -> bool:

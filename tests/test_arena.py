@@ -1,10 +1,11 @@
-"""Arena-kernel parity: the flat-buffer fast path vs the worklist engine.
+"""Walk-kernel parity: the one settle kernel vs the worklist reference.
 
-The arena walk kernel (compiled generator, state in generator locals)
-must be *bit-identical* to the per-step :class:`FaultBatch` path — same
-settled states after every cycle, same detection words at every
-observation — because Eichelberger's Algorithms A and B compute unique
-lattice fixpoints regardless of evaluation order.
+The walk kernel (compiled generator, state in generator locals) must be
+*bit-identical* to the per-gate worklist loop it replaced, kept as
+:class:`repro.sim.legacy.WorklistEngine` — same settled states after
+every cycle, same detection words at every observation — because
+Eichelberger's Algorithms A and B compute unique lattice fixpoints
+regardless of evaluation order.
 
 Checked here on every Table-1 benchmark under every registered fault
 model's full universe, riding a deterministic random walk through the
@@ -23,9 +24,14 @@ import pytest
 
 import repro
 from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
+from repro.core.random_tpg import random_tpg
+from repro.core.sequences import Test
+from repro.core.verify import verify_test_set
 from repro.faultmodels import get_model, model_names
+from repro.flow.stages import fault_simulate
 from repro.sgraph.cssg import build_cssg
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for
+from repro.sim.legacy import WorklistEngine
 
 WALK_LEN = 8
 
@@ -52,10 +58,11 @@ def _walk_states(cssg, seed):
 @pytest.mark.parametrize("model_name", model_names())
 @pytest.mark.parametrize("name", TABLE1_NAMES)
 def test_arena_walk_and_slab_match_batch(name, model_name):
-    """Walk kernel vs per-step ``FaultBatch``, bit for bit.
+    """Walk kernel vs the per-step worklist reference, bit for bit.
 
-    The name predates the removal of the numpy slab kernel, which this
-    test also used to check; it is kept so the test ids stay stable.
+    The name predates the removal of the numpy slab kernel and of
+    ``FaultBatch``, which this test also used to check; it is kept so
+    the test ids stay stable.
     """
     cssg = _cssg_for(name)
     circuit = cssg.circuit
@@ -64,30 +71,28 @@ def test_arena_walk_and_slab_match_batch(name, model_name):
         pytest.skip(f"{model_name} universe is empty on {name}")
     trail = _walk_states(cssg, seed=zlib.crc32(f"{name}:{model_name}".encode()))
 
-    batch = FaultBatch(circuit, faults)
-    state = batch.reset_and_settle(cssg.reset)
-    walk = batch.walk(cssg.reset)
+    ref = WorklistEngine(circuit, faults)
+    low, high = ref.reset(cssg.reset)
+    walk = engine_for(circuit, faults, len(faults)).walk(cssg.reset)
 
-    assert walk.state() == state
-    det_ref = batch.observe(state, cssg.reset)
-    assert walk.observe(cssg.reset) == det_ref
+    assert walk.state() == (tuple(low), tuple(high))
+    assert walk.observe(cssg.reset) == ref.observe(low, high, cssg.reset)
 
     for pattern, good in trail:
-        state = batch.apply_settled(state, pattern)
-        det_ref = batch.observe(state, good)
-        assert walk.step(pattern, good) == det_ref
-        assert walk.state() == state
+        ref.apply_pattern(low, high, pattern)
+        assert walk.step(pattern, good) == ref.observe(low, high, good)
+        assert walk.state() == (tuple(low), tuple(high))
 
 
 def test_walk_is_restartable():
     """Each ``walk()`` call is an independent replay from reset."""
     cssg = _cssg_for("dff")
     faults = get_model("input").universe(cssg.circuit)
-    batch = FaultBatch(cssg.circuit, faults)
+    engine = engine_for(cssg.circuit, faults, len(faults))
     trail = _walk_states(cssg, seed=7)
 
     def run():
-        walk = batch.walk(cssg.reset)
+        walk = engine.walk(cssg.reset)
         det = walk.observe(cssg.reset)
         for pattern, good in trail:
             det |= walk.step(pattern, good)
@@ -99,11 +104,29 @@ def test_walk_is_restartable():
 def test_empty_universe_width_zero():
     """A width-0 walk settles and observes without faulting."""
     cssg = _cssg_for("dff")
-    batch = FaultBatch(cssg.circuit, [])
-    walk = batch.walk(cssg.reset)
+    engine = engine_for(cssg.circuit, [], 0)
+    assert engine.ones == 0
+    walk = engine.walk(cssg.reset)
     assert walk.observe(cssg.reset) == 0
     pattern, good = _walk_states(cssg, seed=1)[0]
     assert walk.step(pattern, good) == 0
+
+
+def test_empty_universe_fault_sim_entry_points():
+    """Random TPG, the auditor and flow fault grading on an empty fault
+    universe: empty results, no exception.  The walk is width 0, so
+    random TPG has nothing undetected and runs no walk at all."""
+    cssg = _cssg_for("dff")
+    walks = []
+    detected, tests = random_tpg(
+        cssg, [], n_walks=2, walk_len=4, on_walk=lambda i, n: walks.append(i)
+    )
+    assert detected == {} and tests == [] and walks == []
+    patterns = tuple(p for p, _ in _walk_states(cssg, seed=2))
+    report = verify_test_set(cssg, [Test(patterns, [])], [])
+    assert report.detected == set() and report.per_test == [set()]
+    assert report.all_tests_valid
+    assert fault_simulate(cssg, [], patterns) == []
 
 
 def test_import_repro_loads_no_numpy():

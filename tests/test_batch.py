@@ -1,4 +1,5 @@
-"""Parallel fault simulation: batch-of-W must equal W scalar runs."""
+"""Parallel fault simulation: a packed engine of W machines must equal
+W scalar runs."""
 
 import random
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from repro.circuit.faults import fault_universe, input_fault_universe
 from repro.sgraph.cssg import build_cssg
 from repro.sim import ternary
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for
 
 
 def walk_patterns(cssg, seed, length):
@@ -17,80 +18,96 @@ def walk_patterns(cssg, seed, length):
     return cssg.random_walk(rng, length)
 
 
+def packed(circuit, faults):
+    """The packed-walk engine: one machine per fault."""
+    return engine_for(circuit, faults, len(faults))
+
+
+def machine_state(circuit, words, j):
+    """Machine ``j`` of packed ``(low, high)`` words as a scalar ternary
+    ``(L, H)`` pair."""
+    low, high = words
+    sl = sh = 0
+    for i in range(circuit.n_signals):
+        sl |= ((low[i] >> j) & 1) << i
+        sh |= ((high[i] >> j) & 1) << i
+    return (sl, sh)
+
+
 @pytest.mark.parametrize("model", ["input", "output"])
 def test_batch_equals_scalar_on_celem(celem, model):
     faults = fault_universe(celem, model)
     cssg = build_cssg(celem)
     patterns = walk_patterns(cssg, seed=4, length=6)
-    batch = FaultBatch(celem, faults)
-    bstate = batch.reset_and_settle(cssg.reset)
+    engine = packed(celem, faults)
+    bstate = engine.settle(*engine.reset_words(cssg.reset))
     scalar = [
         ternary.settle_from_reset(celem, cssg.reset, f) for f in faults
     ]
     for j in range(len(faults)):
-        assert batch.machine_state(bstate, j) == scalar[j]
+        assert machine_state(celem, bstate, j) == scalar[j]
     for pattern in patterns:
-        bstate = batch.apply(bstate, pattern)
+        bstate = engine.apply_pattern(*bstate, pattern)
         scalar = [
             ternary.apply_pattern(celem, s, pattern, f)
             for s, f in zip(scalar, faults)
         ]
         for j in range(len(faults)):
-            assert batch.machine_state(bstate, j) == scalar[j]
+            assert machine_state(celem, bstate, j) == scalar[j]
 
 
 def test_observe_matches_scalar_detects(celem):
     faults = input_fault_universe(celem)
     cssg = build_cssg(celem)
-    batch = FaultBatch(celem, faults)
-    bstate = batch.reset_and_settle(cssg.reset)
+    walk = packed(celem, faults).walk(cssg.reset)
     good = cssg.reset
     for pattern in walk_patterns(cssg, seed=9, length=8):
         good = cssg.edges[good][pattern]
-        bstate = batch.apply(bstate, pattern)
-        mask = batch.observe(bstate, good)
+        mask = walk.step(pattern, good)
+        bstate = walk.state()
         for j, fault in enumerate(faults):
             expected = ternary.detects(
-                celem, good, batch.machine_state(bstate, j)
+                celem, good, machine_state(celem, bstate, j)
             )
             assert bool((mask >> j) & 1) == expected
 
 
 def test_empty_batch(celem):
-    batch = FaultBatch(celem, [])
-    assert batch.width == 0
-    state = batch.reset_and_settle()
-    assert batch.observe(state, celem.require_reset()) == 0
+    engine = packed(celem, [])
+    assert engine.width == 0
+    walk = engine.walk(celem.require_reset())
+    assert walk.observe(celem.require_reset()) == 0
 
 
 def test_broadcast_is_definite(celem):
     faults = input_fault_universe(celem)[:3]
-    batch = FaultBatch(celem, faults)
-    low, high = batch.broadcast(celem.require_reset())
+    engine = packed(celem, faults)
+    low, high = engine.broadcast(celem.require_reset())
     for i in range(celem.n_signals):
         assert (low[i] & high[i]) == 0
-        assert (low[i] | high[i]) == batch.ones
+        assert (low[i] | high[i]) == engine.ones
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**31), st.integers(1, 10))
 def test_batch_equals_scalar_random_walks(seed, length):
     """Property: for random walks over the benchmark 'dff', every machine
-    in the batch equals its scalar ternary twin after every cycle."""
+    in the packed engine equals its scalar ternary twin after every
+    cycle."""
     from repro.benchmarks_data import load_benchmark
 
     circuit = load_benchmark("dff", "complex")
     faults = input_fault_universe(circuit)
     cssg = build_cssg(circuit)
     patterns = walk_patterns(cssg, seed, length)
-    batch = FaultBatch(circuit, faults)
-    bstate = batch.reset_and_settle(cssg.reset)
+    walk = packed(circuit, faults).walk(cssg.reset)
     scalar = [ternary.settle_from_reset(circuit, cssg.reset, f) for f in faults]
     for pattern in patterns:
-        bstate = batch.apply(bstate, pattern)
+        walk.step(pattern, 0)
         scalar = [
             ternary.apply_pattern(circuit, s, pattern, f)
             for s, f in zip(scalar, faults)
         ]
+    bstate = walk.state()
     for j in range(len(faults)):
-        assert batch.machine_state(bstate, j) == scalar[j]
+        assert machine_state(circuit, bstate, j) == scalar[j]

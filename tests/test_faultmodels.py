@@ -34,7 +34,7 @@ from repro.faultmodels import (
 from repro.flow import Flow
 from repro.sgraph.cssg import build_cssg
 from repro.sim import ternary
-from repro.sim.batch import FaultBatch
+from repro.sim.engine import engine_for
 
 #: A fanout-free buffer/inverter chain: no gate has two inputs, so no
 #: two nets are structurally adjacent — the bridging universe is empty.
@@ -189,6 +189,14 @@ def test_overlay_matches_materialized_netlist_on_walks(bench, model):
             assert via_overlay == via_netlist, fault.describe(circuit)
 
 
+def _machine(words, j):
+    """Machine ``j`` of packed ``(low, high)`` words as a scalar ternary
+    ``(L, H)`` pair."""
+    return tuple(
+        sum(((w >> j) & 1) << i for i, w in enumerate(side)) for side in words
+    )
+
+
 @pytest.mark.parametrize("bench", ["dff", "converta"])
 def test_packed_batch_matches_scalar_for_mixed_universe(bench):
     """One packed word carrying bridging + transition + stuck-at machines
@@ -200,8 +208,8 @@ def test_packed_batch_matches_scalar_for_mixed_universe(bench):
         + fault_universe(circuit, "transition")
         + fault_universe(circuit, "input")[:4]
     )
-    batch = FaultBatch(circuit, faults)
-    state = batch.reset_and_settle(cssg.reset)
+    engine = engine_for(circuit, faults, len(faults))
+    state = engine.settle(*engine.reset_words(cssg.reset))
     scalars = [
         ternary.settle_from_reset(circuit, cssg.reset, f) for f in faults
     ]
@@ -209,7 +217,7 @@ def test_packed_batch_matches_scalar_for_mixed_universe(bench):
     good = cssg.reset
     for _ in range(10):
         for j, fault in enumerate(faults):
-            assert batch.machine_state(state, j) == scalars[j], (
+            assert _machine(state, j) == scalars[j], (
                 fault.describe(circuit)
             )
         choices = sorted(cssg.valid_patterns(good))
@@ -217,9 +225,9 @@ def test_packed_batch_matches_scalar_for_mixed_universe(bench):
             break
         pattern = rng.choice(choices)
         good = cssg.edges[good][pattern]
-        state = batch.apply_settled(state, pattern)
+        state = engine.apply_pattern(*state, pattern)
         scalars = [
-            ternary.apply_pattern_settled(circuit, s, pattern, f)
+            ternary.apply_pattern(circuit, s, pattern, f)
             for s, f in zip(scalars, faults)
         ]
 

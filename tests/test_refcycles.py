@@ -1,18 +1,26 @@
 """Dead circuits and BDD managers are freed by reference counting.
 
-A reference cycle through a materialized faulty netlist or a BDD
-manager keeps it, and everything it caches (compiled code, settle
-reports, node tables), alive until the cyclic garbage collector happens
-to run.  With the collector off and ``DEBUG_SAVEALL`` set, whatever a
+A reference cycle through a circuit (good or materialized faulty) or a
+BDD manager keeps it, and everything it caches (compiled code, engines,
+settle reports, node tables), alive until the cyclic garbage collector
+happens to run.  With the collector off and ``DEBUG_SAVEALL`` set, whatever a
 ``gc.collect()`` finds is exactly the cyclic garbage; none of it may be
 a ``Circuit`` or a ``BddManager``.
 """
 
 import gc
+import weakref
 
 from repro import AtpgOptions, Flow, load_benchmark
 from repro.bdd.manager import BddManager
+from repro.benchmarks_data import load_benchmark_stg
+from repro.circuit.faults import fault_universe
 from repro.circuit.netlist import Circuit
+from repro.core.random_tpg import random_tpg
+from repro.core.verify import verify_test_set
+from repro.sgraph.cssg import build_cssg
+from repro.sim.engine import compiled
+from repro.stg.synthesis import synthesize
 
 
 def cyclic_garbage_after(work):
@@ -49,6 +57,28 @@ def test_flow_runs_leave_no_cyclic_circuits_or_managers():
     garbage = cyclic_garbage_after(work)
     assert BddManager.__name__ not in garbage
     assert Circuit.__name__ not in garbage
+
+
+def test_fault_simulated_good_circuit_is_freed_by_refcount():
+    """Random TPG and the auditor compile packed engines on the good
+    circuit; neither the engines nor the compiled form may point back
+    at it, so a dropped circuit goes with its last reference."""
+
+    def run():
+        # A fresh synthesis: load_benchmark caches its circuits forever.
+        circuit = synthesize(load_benchmark_stg("dff"), style="complex")
+        cssg = build_cssg(circuit)
+        faults = fault_universe(circuit, "output")
+        detected, tests = random_tpg(cssg, faults, n_walks=4, walk_len=8)
+        assert detected
+        assert verify_test_set(cssg, tests, faults).detected == set(detected)
+        return weakref.ref(compiled(circuit))
+
+    def work():
+        ref = run()
+        assert ref() is None  # the collector is off: refcounting alone
+
+    assert Circuit.__name__ not in cyclic_garbage_after(work)
 
 
 def test_sat_count_and_sat_iter_leave_no_cycles():

@@ -8,11 +8,12 @@ These are the load-bearing soundness relations of the whole approach:
   definite outcome for a racy vector);
 * **agreement** — if ternary is definite, the settling graph is acyclic,
   confluent, and terminates in exactly the ternary result;
-* **parity** — the compiled event-driven engine (:mod:`repro.sim.engine`)
-  must be *bit-identical* to the seed's sweep implementation preserved
-  in :mod:`repro.sim.legacy`: scalar ternary settling (with and without
-  faults), width-1 ``FaultBatch`` machines, and the excited-gate
-  enumeration that drives exact simulation.
+* **parity** — the compiled engine (:mod:`repro.sim.engine`) must be
+  *bit-identical* to the seed's sweep implementation preserved in
+  :mod:`repro.sim.legacy`: scalar ternary settling (with and without
+  faults), width-1 engine machines stepped through the walk kernel's
+  test-cycle path, and the excited-gate enumeration that drives exact
+  simulation.
 
 Checked on the fixture circuits, on every bundled benchmark, and on
 randomly generated netlists.
@@ -28,8 +29,7 @@ from repro.circuit.faults import fault_universe
 from repro.circuit.netlist import Circuit
 from repro.sgraph.explore import settle_report
 from repro.sim import legacy, ternary
-from repro.sim.batch import FaultBatch
-from repro.sim.engine import compiled
+from repro.sim.engine import compiled, engine_for
 
 
 def check_agreement(circuit, start_state):
@@ -157,29 +157,34 @@ def test_engine_matches_seed_scalar_on_benchmarks(name):
             assert ts_engine == ts_seed, f"{name}: diverged on {pattern:b}"
 
 
+def _machine0(words):
+    """The only machine of width-1 ``(low, high)`` words, packed."""
+    return tuple(sum(w << i for i, w in enumerate(side)) for side in words)
+
+
 @pytest.mark.parametrize("name", TABLE1_NAMES)
 def test_width1_batch_matches_seed_on_benchmarks(name):
-    """A width-1 FaultBatch must stay bit-for-bit the scalar seed
-    semantics for every sampled fault."""
+    """A width-1 engine must stay bit-for-bit the scalar seed semantics
+    for every sampled fault."""
     circuit = load_benchmark(name, "complex")
     reset = circuit.require_reset()
     for fault in _fault_sample(circuit, stride=5):
-        batch = FaultBatch(circuit, [fault])
-        bstate = batch.reset_and_settle(reset)
+        engine = engine_for(circuit, [fault], 1)
+        bstate = engine.settle(*engine.reset_words(reset))
         seed_start = reset
         if fault.kind == "output":
             seed_start = (reset & ~(1 << fault.site)) | (fault.value << fault.site)
         sstate = legacy.settle(
             circuit, ternary.from_binary(seed_start, circuit.n_signals), fault
         )
-        assert batch.machine_state(bstate, 0) == sstate
+        assert _machine0(bstate) == sstate
         for pattern in _walk(circuit, n_cycles=4):
-            bstate = batch.apply(bstate, pattern)
+            bstate = engine.apply_pattern(*bstate, pattern)
             imask = (1 << circuit.n_inputs) - 1
             low = (sstate[0] & ~imask) | (~pattern & imask)
             high = (sstate[1] & ~imask) | (pattern & imask)
             sstate = legacy.settle(circuit, (low, high), fault)
-            assert batch.machine_state(bstate, 0) == sstate
+            assert _machine0(bstate) == sstate
 
 
 @pytest.mark.parametrize("name", TABLE1_NAMES)
