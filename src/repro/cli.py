@@ -681,7 +681,8 @@ def build_fuzz_parser() -> argparse.ArgumentParser:
         "--max-faults",
         type=int,
         default=None,
-        help="faults sampled per model in the oracle battery",
+        help="faults sampled per model in the oracle battery "
+        "(in all, for the undetectable pair)",
     )
     parser.add_argument(
         "--workers",
@@ -830,6 +831,11 @@ def fuzz_main(argv=None) -> int:
         )
         if checks:
             print(f"checks: {checks}")
+        if aggregate["gaps"]:
+            gaps = ", ".join(
+                f"{oracle}={n}" for oracle, n in aggregate["gaps"].items()
+            )
+            print(f"gaps (one side left open, not divergences): {gaps}")
         for d in aggregate["divergences"]:
             print(
                 f"DIVERGENCE seed={d['seed']} oracle={d['oracle']}: {d['detail']}"

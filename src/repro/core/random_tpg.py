@@ -7,6 +7,15 @@ machines in parallel.  The paper reports 40–80% (average ~45%) of faults
 falling to this step at negligible CPU cost; the remainder go to the
 3-phase deterministic generator.
 
+The paper lists early classification of undetectable faults as future
+work (§6); here it is part of the walk loop.  Walks cannot stop while
+an undetectable fault is still in the mask, so after the first walk
+that detects nothing new, an optional ``prove`` hook gets the
+undetected residue once.  The staged flow passes the a-priori
+classifier of :mod:`repro.ext.undetectable` there: every fault it
+proves leaves the mask, and the walks stop as soon as each remaining
+fault is detected or proven.
+
 Detection is conservative exactly as in the paper: a fault counts as
 covered only when some primary output *definitely* differs (ternary
 simulation may under-report, never over-report).
@@ -15,7 +24,7 @@ simulation may under-report, never over-report).
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.circuit.faults import Fault
 from repro.core.sequences import Test
@@ -32,6 +41,7 @@ def random_tpg(
     rng: Optional[random.Random] = None,
     should_stop: Optional[Callable[[], bool]] = None,
     on_walk: Optional[Callable[[int, int], None]] = None,
+    prove: Optional[Callable[[List[Fault]], Iterable[Fault]]] = None,
 ) -> Tuple[Dict[Fault, Tuple[int, ...]], List[Test]]:
     """Run random TPG; returns (detected fault -> sequence, kept tests).
 
@@ -50,6 +60,14 @@ def random_tpg(
     budget can cut the stage short at a walk boundary (everything
     already detected stays detected), and ``on_walk(walk_index,
     n_detected_so_far)`` reports per-walk progress.
+
+    ``prove(residue)`` is called at most once, after the first walk
+    that detects nothing new, with the still-undetected faults in
+    ``faults`` order; it returns the ones it proves undetectable.
+    Those leave the walk mask, so they are never credited to a test
+    and no longer keep the walks going.  A proof is sound, so the
+    detections and tests of a seeded run are the same with or without
+    the hook; only the number of walks can drop.
     """
     circuit = cssg.circuit
     if rng is None:
@@ -97,6 +115,11 @@ def random_tpg(
             tests.append(
                 Test(tuple(patterns[:last_useful]), covered, source="random")
             )
+        elif prove is not None:
+            bit_of = {faults[j]: j for j in _bits(undetected)}
+            for fault in prove(list(bit_of)):
+                undetected &= ~(1 << bit_of[fault])
+            prove = None
         if on_walk is not None:
             on_walk(walk_index, len(detected_by))
     return detected_by, tests

@@ -2,24 +2,29 @@
 
 The paper observes that its 3-phase search "wastes time with no positive
 results" on undetectable faults and lists their early classification as
-future work.  Two cheap sufficient conditions are implemented here; both
+future work.  The staged flow now does it: random TPG hands the faults
+its walks have not detected to :func:`classify_undetectable` (explicit
+checks, the default) after its first fruitless walk, and every fault
+proven here is classified UNDETECTABLE without reaching the 3-phase
+generator.  Two cheap sufficient conditions are implemented; both
 are sound (a classified fault is genuinely undetectable under the CSSG +
 stable-state-observation semantics), neither is complete:
 
 * **never excited** — the fault's model proves the faulty functions
   agree with the good ones everywhere the good machine can go, so no
-  divergence can ever start.  For stuck-at kinds this is the classic
-  check (the site holds the stuck value in every reachable stable state
-  and the faulty machine is stable in each of them); bridging and
-  transition models prove agreement over the *transient-inclusive*
-  symbolic reachable set instead, since their excitation can be purely
-  transient.  Both sets come from one symbolic TCSG reachability
-  computation — a superset of the CSSG's nodes (which only contains
-  states reachable through *valid* vectors), so the verdict holds even
+  divergence can ever start.  Every model proves it over the
+  *transient-inclusive* reachable states, since excitation can be
+  purely transient: a stuck-at site that pulses to the other value
+  while settling can be what lets a downstream gate fire.  For the
+  stuck-at kinds the check is that the site holds the stuck value in
+  every such state.  The symbolic check runs over one TCSG reachability
+  computation — a superset of the states walks through the CSSG can
+  visit (those only take *valid* vectors), so the verdict holds even
   for excursions the CSSG pruned; each per-fault check is a handful of
-  BDD conjunctions, no enumeration.  An explicit CSSG-state walk
-  remains as the ``use_symbolic=False`` fallback for the stuck-at
-  kinds (other models conservatively skip it).
+  BDD conjunctions, no enumeration.  The explicit path (the default,
+  which the flow runs) checks the stuck-at kinds over the CSSG's stable
+  states plus every mid-settling state of its edges (other models
+  conservatively skip it).
 * **stable-equivalent** — exhaustive product walk of (good CSSG state,
   faulty ternary state) shows the faulty machine always reaches output-
   identical *definite* stable states.  This is the same search the
@@ -30,7 +35,7 @@ stable-state-observation semantics), neither is complete:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.bdd.manager import FALSE
 from repro.circuit.faults import Fault
@@ -43,6 +48,15 @@ NEVER_EXCITED = "never-excited"
 STABLE_EQUIVALENT = "stable-equivalent"
 POSSIBLY_DETECTABLE = "possibly-detectable"
 
+#: Default product states one stable-equivalent walk may explore.
+BUDGET_PER_FAULT = 20_000
+
+#: Proof counter (metric series, help text), labelled by the proof.
+_PROOF_SERIES = (
+    "repro_undetectable_proofs_total",
+    "Faults proven undetectable by the a-priori classifier, by proof.",
+)
+
 
 @dataclass
 class Classification:
@@ -51,33 +65,22 @@ class Classification:
     product_states: int = 0
 
 
-def _never_excited_symbolic(
-    sym: SymbolicTcsg, reachable: int, stable_reachable: int, fault: Fault
-) -> bool:
-    """The never-excited check, dispatched to the fault's model.
-
-    Each model proves its own sound sufficient condition over the
-    symbolic TCSG sets: the stuck-at kinds over the reachable *stable*
-    states (site holds the stuck value everywhere, and the faulted
-    gate's function still agrees with its output there, so no
-    stable-state divergence can ever start); bridging and transition
-    faults over the *transient-inclusive* reachable set (their faulty
-    functions agree with the good ones on every state the good machine
-    can even pass through)."""
+def _never_excited_symbolic(sym: SymbolicTcsg, reachable: int, fault: Fault) -> bool:
+    """The never-excited check, dispatched to the fault's model: each
+    model proves its own sound sufficient condition over the symbolic
+    TCSG reachable set, stable and transient states alike."""
     from repro.faultmodels import model_for_kind
 
-    return model_for_kind(fault.kind).never_excited_symbolic(
-        sym, reachable, stable_reachable, fault
-    )
+    return model_for_kind(fault.kind).never_excited_symbolic(sym, reachable, fault)
 
 
 def _never_excited(cssg: Cssg, fault: Fault) -> bool:
-    """Explicit fallback, dispatched to the fault's model: the stuck-at
-    kinds walk the CSSG's states (a subset of the TCSG stable set,
-    hence weaker — kept for ``use_symbolic=False`` and as the
-    differential oracle); models whose excitation is transient-
-    sensitive (bridging, transition) conservatively return False here,
-    leaving the verdict to the stable-equivalent product walk."""
+    """Explicit check, dispatched to the fault's model: the stuck-at
+    kinds scan the states walks through the CSSG can visit (a subset
+    of the TCSG reachable set, hence weaker — the default path and the
+    differential oracle); bridging and transition models
+    conservatively return False here, leaving the verdict to the
+    stable-equivalent product walk."""
     from repro.faultmodels import model_for_kind
 
     return model_for_kind(fault.kind).never_excited_explicit(cssg, fault)
@@ -127,45 +130,50 @@ def _stable_equivalent(
 def classify_undetectable(
     cssg: Cssg,
     faults: List[Fault],
-    budget_per_fault: int = 20_000,
-    use_symbolic: bool = True,
+    budget_per_fault: int = BUDGET_PER_FAULT,
+    use_symbolic: bool = False,
     symbolic: Optional[SymbolicTcsg] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
 ) -> Dict[Fault, Classification]:
     """Classify each fault before running expensive per-fault ATPG.
 
     The returned verdicts partition ``faults`` into provably undetectable
-    (two reasons) and possibly detectable.  With ``use_symbolic`` (the
-    default) the never-excited check runs against the symbolic TCSG
-    reachable-stable set — one BDD reachability computation shared by
-    every fault; otherwise it walks the explicit CSSG states.  A caller
-    that already holds a :class:`SymbolicTcsg` for this circuit (e.g.
-    because the CSSG itself was built symbolically) can pass it as
-    ``symbolic`` to reuse its encoding instead of rebuilding one.
+    (two reasons) and possibly detectable.  By default the never-excited
+    check scans the states walks through the CSSG visit (the path the
+    flow runs); with ``use_symbolic`` it runs against the symbolic TCSG
+    reachable set instead — one BDD reachability computation shared by
+    every fault.
+    A caller that already holds a :class:`SymbolicTcsg` for this circuit
+    (e.g. because the CSSG itself was built symbolically) can pass it
+    as ``symbolic`` to reuse its encoding instead of rebuilding one.
+
+    ``should_stop`` is polled before each fault and again before each
+    stable-equivalent walk; once it returns True the faults not yet
+    classified are left out of the result, so a run budget can cut the
+    classification short.  The overrun past the deadline is at most one
+    never-excited check (the first explicit one includes the CSSG's
+    transient-span search) or one fault's walk of ``budget_per_fault``
+    product states.
     """
     sym: Optional[SymbolicTcsg] = None
     reachable = FALSE
-    stable_reachable = FALSE
     if use_symbolic and faults:
         try:
             sym = symbolic if symbolic is not None else SymbolicTcsg(cssg.circuit)
-            # One reachability computation shared by every fault: the
-            # transient-inclusive set (bridging/transition proofs) and
-            # its stable restriction (the stuck-at proof).
+            # One transient-inclusive reachability computation shared
+            # by every fault.
             reachable = sym.mgr.add_root(
                 sym.reachable(sym.state_bdd(cssg.reset))
-            )
-            stable_reachable = sym.mgr.add_root(
-                sym.mgr.apply_and(reachable, sym.stable)
             )
         except StateGraphError:
             sym = None  # fall back to the explicit CSSG walk
     result: Dict[Fault, Classification] = {}
     try:
         for fault in faults:
+            if should_stop is not None and should_stop():
+                break
             if sym is not None:
-                never = _never_excited_symbolic(
-                    sym, reachable, stable_reachable, fault
-                )
+                never = _never_excited_symbolic(sym, reachable, fault)
                 # Per-fault faulty-function garbage has no further use;
                 # let the manager's auto-GC reclaim it at this safe
                 # point (the reachable set and encoding are rooted).
@@ -175,6 +183,8 @@ def classify_undetectable(
             if never:
                 result[fault] = Classification(fault, NEVER_EXCITED)
                 continue
+            if should_stop is not None and should_stop():
+                break
             verdict, explored = _stable_equivalent(cssg, fault, budget_per_fault)
             if verdict is True:
                 result[fault] = Classification(fault, STABLE_EQUIVALENT, explored)
@@ -184,8 +194,23 @@ def classify_undetectable(
                 )
     finally:
         if sym is not None:
-            # Unpin the reachable sets — the manager may outlive this
+            # Unpin the reachable set — the manager may outlive this
             # call when the caller passed its own SymbolicTcsg.
-            sym.mgr.remove_root(stable_reachable)
             sym.mgr.remove_root(reachable)
+    _publish_proofs(result)
     return result
+
+
+def _publish_proofs(result: Dict[Fault, Classification]) -> None:
+    """Count the proofs of one classification in the metrics registry
+    (a no-op with collection off)."""
+    from repro.obs import metrics as obs
+
+    if not obs.enabled():
+        return
+    name, help_text = _PROOF_SERIES
+    counter = obs.get_registry().counter(name, help_text, ("proof",))
+    for proof in (NEVER_EXCITED, STABLE_EQUIVALENT):
+        n = sum(1 for cls in result.values() if cls.verdict == proof)
+        if n:
+            counter.labels(proof).inc(n)

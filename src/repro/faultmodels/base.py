@@ -124,19 +124,19 @@ class FaultModel:
     # -- a-priori undetectability --------------------------------------
 
     def never_excited_symbolic(
-        self, sym, reachable: int, stable_reachable: int, fault: Fault
+        self, sym, reachable: int, fault: Fault
     ) -> bool:
         """Sound sufficient proof that ``fault`` can never start a
-        divergence, over the symbolic TCSG reachable sets
-        (``reachable`` includes transient states, ``stable_reachable``
-        only stable ones — both are rooted BDDs of ``sym.mgr``).
+        divergence, over the symbolic TCSG reachable set ``reachable``
+        (stable and transient states, a rooted BDD of ``sym.mgr``).
         Default: no proof (conservative ``False``)."""
         return False
 
     def never_excited_explicit(self, cssg, fault: Fault) -> bool:
         """Explicit (enumerative) counterpart of
-        :meth:`never_excited_symbolic` over the CSSG's states.  Default:
-        no proof (conservative ``False``)."""
+        :meth:`never_excited_symbolic` over the states walks through the
+        CSSG visit, stable and mid-settling.  Default: no proof
+        (conservative ``False``)."""
         return False
 
 

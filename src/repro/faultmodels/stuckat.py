@@ -68,39 +68,33 @@ class _StuckAtModel(FaultModel):
     # -- a-priori undetectability --------------------------------------
 
     def never_excited_symbolic(
-        self, sym, reachable: int, stable_reachable: int, fault: Fault
+        self, sym, reachable: int, fault: Fault
     ) -> bool:
-        """Over every reachable stable state: the site already holds the
-        stuck value (never excited) and the faulted gate's function still
-        agrees with its output there (the fault does not destabilize the
-        state) — then no stable-state divergence can ever start."""
+        """Over every reachable state, stable or mid-settling: the site
+        holds the stuck value.  Then the faulted pin or gate never sees
+        anything else, so the faulty machine follows the good one along
+        every trajectory.  Stable states alone are not enough: a site
+        that pulses to the other value while settling can be what lets
+        a downstream gate fire, and the fault removes that pulse."""
         from repro.bdd.manager import FALSE
 
         mgr = sym.mgr
-        site, stuck = fault.site, fault.value
-        stuck_lit = mgr.var(site) if stuck else mgr.nvar(site)
-        if mgr.apply_and(stable_reachable, stuck_lit ^ 1) != FALSE:
-            return False  # some reachable stable state excites the site
-        disagree = mgr.apply_xor(mgr.var(fault.gate), sym.faulty_gate_fn(fault))
-        return mgr.apply_and(stable_reachable, disagree) == FALSE
+        stuck_lit = mgr.var(fault.site) if fault.value else mgr.nvar(fault.site)
+        return mgr.apply_and(reachable, stuck_lit ^ 1) == FALSE
 
     def never_excited_explicit(self, cssg, fault: Fault) -> bool:
-        """The same check walked over the CSSG's states (a subset of the
-        TCSG stable set, hence weaker — the ``use_symbolic=False``
-        fallback and the differential oracle)."""
-        from repro.sim import ternary
-
-        circuit = cssg.circuit
-        site, stuck = fault.site, fault.value
-        for state in cssg.states:
-            if ((state >> site) & 1) != stuck:
-                return False
-            settled = ternary.settle(
-                circuit, ternary.from_binary(state, circuit.n_signals), fault
-            )
-            if not ternary.is_definite(settled) or ternary.to_binary(settled) != state:
-                return False
-        return True
+        """The same check over the states a test can take the good
+        circuit through: the CSSG's stable states and every transient
+        state of its edges (:meth:`~repro.sgraph.cssg.Cssg.transient_span`),
+        a subset of the TCSG reachable set, hence weaker — the
+        classifier's default path, which the flow runs."""
+        span = cssg.transient_span()
+        if span is None:
+            return False
+        always, ever = span
+        if fault.value:
+            return bool((always >> fault.site) & 1)
+        return not (ever >> fault.site) & 1
 
 
 class InputStuckAtModel(_StuckAtModel):

@@ -10,7 +10,8 @@ and ``run(ctx)`` which reads and mutates the shared
 matching the paper's flow (§2, §5) with the two classic ATPG
 bracketing steps (structural collapsing before, static compaction
 after).  Stages honor the run :class:`~repro.flow.budget.Budget`
-cooperatively: :class:`RandomTpgStage` stops at a walk boundary,
+cooperatively: :class:`RandomTpgStage` stops its undetectability proof
+between faults and its walks at a walk boundary,
 :class:`ThreePhaseStage` classifies every untried fault
 ``aborted``/``"budget"`` once the deadline passes, and
 :class:`CompactionStage` skips (it only shrinks an already-valid test
@@ -21,7 +22,15 @@ partial result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.circuit.faults import Fault
 from repro.core.random_tpg import random_tpg
@@ -31,6 +40,11 @@ from repro.core.three_phase import (
     DETECTED,
     UNDETECTABLE,
     ThreePhaseGenerator,
+)
+from repro.ext.undetectable import (
+    BUDGET_PER_FAULT,
+    POSSIBLY_DETECTABLE,
+    classify_undetectable,
 )
 from repro.flow.budget import REASON_BUDGET
 from repro.flow.context import RunContext
@@ -167,7 +181,21 @@ class ReplayStage:
 
 
 class RandomTpgStage:
-    """Random walks on the CSSG with parallel fault simulation (§5.4)."""
+    """Random walks on the CSSG with parallel fault simulation (§5.4),
+    plus the early undetectability proof the paper leaves to future
+    work (§6).
+
+    After the first walk that detects nothing new, the a-priori
+    classifier (:func:`~repro.ext.undetectable.classify_undetectable`,
+    explicit checks) runs once over the undetected residue.  No
+    fault's product walk explores more than the run's
+    ``max_product_states`` cap, and the deadline is polled before each fault and before each
+    walk, so the proof overruns it by at most the CSSG's one
+    transient-span search or one fault's walk.  Proven faults are
+    classified UNDETECTABLE and leave the walks; every other fault,
+    including any the deadline left unexamined, goes on to three-phase
+    unchanged.
+    """
 
     name = "random-tpg"
 
@@ -184,6 +212,24 @@ class RandomTpgStage:
                 )
             )
 
+        proven: Dict[Fault, str] = {}
+
+        def prove(residue: List[Fault]) -> List[Fault]:
+            classes = classify_undetectable(
+                ctx.cssg,
+                residue,
+                # A proof may not out-explore the per-fault cap 3-phase
+                # would have run under.
+                budget_per_fault=min(
+                    BUDGET_PER_FAULT, ctx.budget.max_product_states
+                ),
+                should_stop=ctx.budget.expired,
+            )
+            for fault, cls in classes.items():
+                if cls.verdict != POSSIBLY_DETECTABLE:
+                    proven[fault] = cls.verdict
+            return list(proven)
+
         detected_by, random_tests = random_tpg(
             ctx.cssg,
             ctx.remaining(),
@@ -192,12 +238,18 @@ class RandomTpgStage:
             rng=ctx.rng,
             should_stop=ctx.budget.expired,
             on_walk=on_walk,
+            prove=prove,
         )
         for test in random_tests:
             test_index = ctx.add_test(test)
             for fault in test.faults:
                 ctx.classify(fault, DETECTED, "rnd", test_index)
-        ctx.stage_stats[self.name] = {"n_detected": len(detected_by)}
+        for fault in proven:
+            ctx.classify(fault, UNDETECTABLE)
+        ctx.stage_stats[self.name] = {
+            "n_detected": len(detected_by),
+            "n_proven": len(proven),
+        }
 
 
 class ThreePhaseStage:

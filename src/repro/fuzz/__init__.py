@@ -15,7 +15,8 @@ through the model-dispatched differential oracle pairs
 * fault overlays vs materialized faulty netlists,
 * packed walk kernel vs the per-gate worklist fault sim,
 * plain vs incremental re-ATPG across mutations
-  (:mod:`repro.fuzz.mutate`).
+  (:mod:`repro.fuzz.mutate`),
+* a-priori undetectability proofs vs 3-phase generation.
 
 A divergence is auto-shrunk (:mod:`repro.fuzz.shrink`) to a minimal
 failing spec.  :mod:`repro.fuzz.campaign` packages seed ranges as

@@ -128,6 +128,7 @@ class FuzzResult:
     checks: Dict[str, int]
     n_unproductive: int  #: seeds whose every generation attempt was rejected
     cpu_seconds: float = 0.0
+    gaps: Dict[str, int] = field(default_factory=dict)  #: oracle -> gap count
 
     def to_json_dict(self) -> Dict:
         # schema_version keeps the runner's cache-freshness gate
@@ -144,6 +145,7 @@ class FuzzResult:
             "divergences": self.divergences,
             "rejections": dict(sorted(self.rejections.items())),
             "checks": dict(sorted(self.checks.items())),
+            "gaps": dict(sorted(self.gaps.items())),
             "n_scenarios": len(self.scenarios),
             "n_divergent": len({d["seed"] for d in self.divergences}),
             "n_unproductive": self.n_unproductive,
@@ -182,6 +184,7 @@ def execute_fuzz_job(job: Job, listeners=()) -> FuzzResult:
     divergences: List[Dict] = []
     rejections: Dict[str, int] = {}
     checks: Dict[str, int] = {}
+    gaps: Dict[str, int] = {}
     n_unproductive = 0
     for done, seed in enumerate(range(a, b)):
         emit(ProgressTick("fuzz", done=done, total=b - a, covered=0))
@@ -194,6 +197,8 @@ def execute_fuzz_job(job: Job, listeners=()) -> FuzzResult:
         report = run_scenario(scenario, oracles, caps)
         for oracle, n in report.checks.items():
             checks[oracle] = checks.get(oracle, 0) + n
+        for oracle, n in report.gaps.items():
+            gaps[oracle] = gaps.get(oracle, 0) + n
         scenarios.append(
             {
                 "seed": seed,
@@ -233,6 +238,7 @@ def execute_fuzz_job(job: Job, listeners=()) -> FuzzResult:
         checks=checks,
         n_unproductive=n_unproductive,
         cpu_seconds=time.perf_counter() - t0,
+        gaps=gaps,
     )
 
 
@@ -260,6 +266,7 @@ def aggregate_reports(payloads: Sequence[Dict]) -> Dict:
         "n_unproductive": 0,
         "by_kind": {},
         "checks": {},
+        "gaps": {},
         "rejections": {},
         "divergences": [],
     }
@@ -274,11 +281,14 @@ def aggregate_reports(payloads: Sequence[Dict]) -> Dict:
             out["by_kind"][kind] = out["by_kind"].get(kind, 0) + 1
         for oracle, n in payload["checks"].items():
             out["checks"][oracle] = out["checks"].get(oracle, 0) + n
+        for oracle, n in payload.get("gaps", {}).items():
+            out["gaps"][oracle] = out["gaps"].get(oracle, 0) + n
         for reason, n in payload["rejections"].items():
             out["rejections"][reason] = out["rejections"].get(reason, 0) + n
         out["divergences"].extend(payload["divergences"])
     out["by_kind"] = dict(sorted(out["by_kind"].items()))
     out["checks"] = dict(sorted(out["checks"].items()))
+    out["gaps"] = dict(sorted(out["gaps"].items()))
     out["rejections"] = dict(sorted(out["rejections"].items()))
     out["divergences"].sort(key=lambda d: (d["seed"], d["oracle"]))
     return out

@@ -1,4 +1,4 @@
-"""The five differential oracle pairs every scenario runs through.
+"""The six differential oracle pairs every scenario runs through.
 
 Each oracle compares two independent implementations that must agree;
 any disagreement is a :class:`Divergence` (a bug in one of the two, by
@@ -21,6 +21,11 @@ construction — there is no "expected output" file anywhere):
                the cohort-incremental path: cold byte-identity, warm
                pure-merge identity, then a mutation with the *exact*
                predicted cohort-reuse count and verdict replay
+``undetectable``  the a-priori classifier
+               (:func:`~repro.ext.undetectable.classify_undetectable`,
+               explicit checks) vs the 3-phase generator under exact
+               semantics: a fault the classifier proves must never get
+               a test; faults only 3-phase proves are a *gap* count
 ============   ====================================================
 
 Oracles assert exactly the documented contracts and no more: the
@@ -41,7 +46,7 @@ import json
 import hashlib
 import random
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,6 +58,13 @@ from repro.circuit.faults import fault_universe, materialize_fault
 from repro.circuit.netlist import Circuit
 from repro.circuit.parser import netlist_to_text, parse_netlist
 from repro.core.atpg import AtpgOptions
+from repro.core.three_phase import (
+    ABORTED,
+    DETECTED,
+    UNDETECTABLE,
+    ThreePhaseGenerator,
+)
+from repro.ext.undetectable import POSSIBLY_DETECTABLE, classify_undetectable
 from repro.faultmodels import model_names
 from repro.fuzz.generator import Scenario
 from repro.fuzz.mutate import MUTATION_OPS, mutate_netlist
@@ -66,6 +78,8 @@ __all__ = [
     "Divergence",
     "OracleCaps",
     "ScenarioReport",
+    "UndetectableAudit",
+    "audit_undetectable",
     "oracle_names",
     "run_scenario",
 ]
@@ -110,6 +124,9 @@ class ScenarioReport:
     kind: str
     checks: Dict[str, int]  #: oracle -> comparisons made (0 = skipped)
     divergences: List[Divergence]
+    #: oracle -> cases one side settles and the other leaves open (a
+    #: completeness gap, not a disagreement); only reported when > 0
+    gaps: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -121,6 +138,7 @@ class ScenarioReport:
             "kind": self.kind,
             "checks": dict(sorted(self.checks.items())),
             "divergences": [d.to_json_dict() for d in self.divergences],
+            "gaps": dict(sorted(self.gaps.items())),
         }
 
 
@@ -132,6 +150,7 @@ class _Ctx:
         self.caps = caps
         self.circuit = scenario.circuit()
         self._cssg: Optional[Cssg] = None
+        self.gaps: Dict[str, int] = {}
 
     @property
     def cssg(self) -> Cssg:
@@ -141,12 +160,15 @@ class _Ctx:
 
     def fault_sample(self, model: str) -> List:
         """A deterministic spread through the model's universe."""
-        faults = fault_universe(self.circuit, model)
-        cap = self.caps.max_faults
-        if len(faults) <= cap:
-            return list(faults)
-        stride = len(faults) / cap
-        return [faults[int(i * stride)] for i in range(cap)]
+        return _spread(fault_universe(self.circuit, model), self.caps.max_faults)
+
+
+def _spread(items: Sequence, cap: int) -> List:
+    """At most ``cap`` of ``items``, evenly strided (deterministic)."""
+    if len(items) <= cap:
+        return list(items)
+    stride = len(items) / cap
+    return [items[int(i * stride)] for i in range(cap)]
 
 
 def _tstate(rng: random.Random, n: int) -> Tuple[int, int]:
@@ -270,6 +292,85 @@ def _oracle_kernels(ctx: _Ctx) -> Tuple[int, List[str]]:
         if bad:
             break
         compare(f"step{i}", pattern=pattern, good_state=good)
+    return checks, bad
+
+
+@dataclass
+class UndetectableAudit:
+    """The ``undetectable`` pair on one fault list: the classifier's
+    proofs against the 3-phase generator's verdicts, fault by fault."""
+
+    proven: List = field(default_factory=list)  #: classifier proofs
+    #: faults 3-phase proved undetectable that the classifier left open
+    gap: List = field(default_factory=list)
+    #: classifier proofs 3-phase could neither confirm nor refute
+    unconfirmed: List = field(default_factory=list)
+    #: classifier proofs 3-phase refuted with a test
+    disagreements: List = field(default_factory=list)
+    #: every fault's 3-phase outcome
+    outcomes: Dict = field(default_factory=dict)
+
+
+def audit_undetectable(
+    generator: ThreePhaseGenerator, faults: Sequence
+) -> UndetectableAudit:
+    """Run each fault through the classifier and through ``generator``.
+
+    The two share no search code: the classifier scans good-circuit
+    states and walks ternary fault overlays, 3-phase settles
+    materialized netlists exactly.  A proof 3-phase refutes with a test is a disagreement; a
+    proof it aborts on is unconfirmed (a cap or a ternary fallback
+    stopped it, which refutes nothing)."""
+    classes = classify_undetectable(generator.cssg, list(faults))
+    audit = UndetectableAudit()
+    for fault in faults:
+        outcome = generator.generate(fault)
+        audit.outcomes[fault] = outcome
+        if classes[fault].verdict == POSSIBLY_DETECTABLE:
+            if outcome.status == UNDETECTABLE:
+                audit.gap.append(fault)
+            continue
+        audit.proven.append(fault)
+        if outcome.status == DETECTED:
+            audit.disagreements.append(fault)
+        elif outcome.status == ABORTED:
+            audit.unconfirmed.append(fault)
+    return audit
+
+
+#: Widest spec (primary inputs) whose ``undetectable`` audit also runs
+#: on the any-subset CSSG the flow builds by default.
+_ANY_SUBSET_MAX_INPUTS = 3
+
+
+def _oracle_undetectable(ctx: _Ctx) -> Tuple[int, List[str]]:
+    c = ctx.circuit
+    # 3-phase proofs are exhaustive product searches, which cost up to a
+    # minute a fault on wide fuzzed specs with any-subset input changes.
+    # Both sides take the CSSG as given, so the pair runs on the
+    # single-input-change CSSG (as the incremental pair does), on
+    # max_faults faults in all, spread over every model.  Specs with at
+    # most _ANY_SUBSET_MAX_INPUTS inputs are also audited on the
+    # any-subset CSSG, whose multi-input edges give the transient
+    # spans the never-excited proofs depend on.
+    samples = [f for model in model_names() for f in ctx.fault_sample(model)]
+    faults = _spread(samples, ctx.caps.max_faults)
+    single = build_cssg(c, method="exact", max_input_changes=1)
+    graphs = [("single-change", single)]
+    if 1 < c.n_inputs <= _ANY_SUBSET_MAX_INPUTS:
+        graphs.append(("any-subset", ctx.cssg))
+    checks, n_gap, bad = 0, 0, []
+    for label, cssg in graphs:
+        audit = audit_undetectable(ThreePhaseGenerator(cssg), faults)
+        checks += len(faults)
+        n_gap += len(audit.gap)
+        bad += [
+            f"{label} CSSG {fault.kind}/{fault.describe(c)}: classifier "
+            f"proof refuted by 3-phase test {audit.outcomes[fault].patterns}"
+            for fault in audit.disagreements
+        ]
+    if n_gap:
+        ctx.gaps["undetectable"] = n_gap
     return checks, bad
 
 
@@ -412,6 +513,7 @@ ORACLES: Dict[str, Callable[[_Ctx], Tuple[int, List[str]]]] = {
     "faults": _oracle_faults,
     "kernels": _oracle_kernels,
     "incremental": _oracle_incremental,
+    "undetectable": _oracle_undetectable,
 }
 
 
@@ -419,7 +521,7 @@ def oracle_names() -> Tuple[str, ...]:
     """All oracle pair names, battery order.
 
     >>> oracle_names()
-    ('settle', 'cssg', 'faults', 'kernels', 'incremental')
+    ('settle', 'cssg', 'faults', 'kernels', 'incremental', 'undetectable')
     """
     return tuple(ORACLES)
 
@@ -441,4 +543,6 @@ def run_scenario(
         n, bad = ORACLES[name](ctx)
         checks[name] = n
         divergences.extend(Divergence(name, detail) for detail in bad)
-    return ScenarioReport(scenario.seed, scenario.kind, checks, divergences)
+    return ScenarioReport(
+        scenario.seed, scenario.kind, checks, divergences, ctx.gaps
+    )

@@ -36,7 +36,11 @@ from typing import (
 from repro._bits import hamming
 from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
-from repro.sgraph.explore import publish_settle_metrics, settle_report
+from repro.sgraph.explore import (
+    publish_settle_metrics,
+    settle_report,
+    transient_span,
+)
 
 
 @dataclass
@@ -84,6 +88,8 @@ class Cssg:
     states: Set[int] = field(default_factory=set)
     edges: Dict[int, Dict[int, int]] = field(default_factory=dict)
     stats: CssgStats = field(default_factory=CssgStats)
+    #: memo of :meth:`transient_span` (``False`` until computed).
+    _span: object = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def n_states(self) -> int:
@@ -128,6 +134,22 @@ class Cssg:
 
     def successor(self, state: int, pattern: int) -> Optional[int]:
         return self.edges.get(state, {}).get(pattern)
+
+    def transient_span(self) -> Optional[Tuple[int, int]]:
+        """``(AND, OR)`` over every state the good circuit can pass
+        through while a test walks this graph: the stable states plus
+        every mid-settling state of every edge, under the unbounded
+        gate-delay model (:func:`~repro.sgraph.explore.transient_span`).
+        ``None`` when that set is too large to enumerate.  Computed
+        once per graph."""
+        if self._span is False:
+            circuit = self.circuit
+            starts = set(self.states)
+            for state, out_edges in self.edges.items():
+                for pattern in out_edges:
+                    starts.add(circuit.apply_input_pattern(state, pattern))
+            self._span = transient_span(circuit, starts)
+        return self._span
 
     # -- justification support (paper §5.2) -----------------------------
 

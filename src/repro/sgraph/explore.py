@@ -32,13 +32,27 @@ exploration.  The memo dies with the circuit, so a materialized faulty
 netlist's reports go when its fault is done.  Plain-int counters on the
 memo (calls, hits, evictions) are flushed to the metrics registry at
 workload boundaries by :func:`publish_settle_metrics`, never per call.
+
+**Transient span.**  :func:`transient_span` walks the same settling
+graphs from many starts at once and reports which signals never switch,
+not even as a mid-settling pulse — the a-priori classifier's explicit
+never-excited check for stuck-at faults.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
@@ -49,6 +63,9 @@ from repro.sim.engine import compiled
 #: memory of a circuit with far more distinct starts; past it the least
 #: recently used report goes.
 _SETTLE_MEMO_SIZE = 1024
+
+#: Most states :func:`transient_span` enumerates before it gives up.
+_SPAN_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -169,6 +186,35 @@ def publish_settle_metrics(circuit: Circuit) -> None:
             if armed:
                 obs.get_registry().counter(name, help_text).inc(delta)
             memo.published[attr] = value
+
+
+def transient_span(
+    circuit: Circuit, starts: Iterable[int]
+) -> Optional[Tuple[int, int]]:
+    """``(AND, OR)`` over every state reachable from ``starts`` by
+    single-gate transitions — stable and mid-settling alike — or
+    ``None`` when more than ``_SPAN_CAP`` states are reachable.
+
+    A signal whose bit is set in the AND is 1 in every such state; one
+    whose bit is clear in the OR is 0 in every one: it never switches,
+    not even as a transient pulse.  One search serves all starts, so a
+    state shared between settling graphs is visited once."""
+    excited_signals = compiled(circuit).excited_signals
+    seen = set(starts)
+    stack = list(seen)
+    always, ever = -1, 0
+    while stack:
+        if len(seen) > _SPAN_CAP:
+            return None
+        state = stack.pop()
+        always &= state
+        ever |= state
+        for gi in excited_signals(state):
+            succ = state ^ (1 << gi)
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return always, ever
 
 
 def _explore(

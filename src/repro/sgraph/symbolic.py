@@ -48,7 +48,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR
-from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.errors import StateGraphError
 from repro.sgraph.cssg import Cssg
@@ -145,19 +144,13 @@ class SymbolicTcsg:
 
     # -- encoding helpers -------------------------------------------------
 
-    def compile_program(
-        self, program, stuck: Optional[Dict[int, int]] = None
-    ) -> int:
-        """Compile a gate program to a BDD; ``stuck`` optionally forces
-        source signals to constants (the input stuck-at fault model)."""
+    def compile_program(self, program) -> int:
+        """Compile a gate program to a BDD."""
         mgr = self.mgr
         stack: List[int] = []
         for op, arg in program:
             if op == OP_VAR:
-                if stuck is not None and arg in stuck:
-                    stack.append(TRUE if stuck[arg] else FALSE)
-                else:
-                    stack.append(mgr.var(arg))
+                stack.append(mgr.var(arg))
             elif op == OP_NOT:
                 stack.append(stack.pop() ^ 1)
             elif op == OP_AND:
@@ -172,20 +165,6 @@ class SymbolicTcsg:
             else:  # OP_CONST
                 stack.append(TRUE if arg else FALSE)
         return stack[0]
-
-    def faulty_gate_fn(self, fault: Fault) -> int:
-        """The faulted gate's function under a *stuck-at* ``fault``
-        (same variables).  Other fault kinds build their symbolic
-        predicates from :attr:`gate_fn` directly — see the
-        ``never_excited_symbolic`` hooks in :mod:`repro.faultmodels`."""
-        if fault.kind == "output":
-            return TRUE if fault.value else FALSE
-        if fault.kind != "input":
-            raise StateGraphError(
-                f"faulty_gate_fn supports stuck-at kinds only, not {fault.kind!r}"
-            )
-        gate = next(g for g in self.circuit.gates if g.index == fault.gate)
-        return self.compile_program(gate.program, stuck={fault.site: fault.value})
 
     def state_bdd(self, state: int) -> int:
         """Characteristic function of one concrete state."""

@@ -418,7 +418,7 @@ def test_never_excited_verdicts_agree_with_full_atpg():
     cssg = build_cssg(circuit)
     for model in ("bridging", "transition"):
         faults = fault_universe(circuit, model)
-        classes = classify_undetectable(cssg, faults)
+        classes = classify_undetectable(cssg, faults, use_symbolic=True)
         result = Flow.default().run(
             circuit, AtpgOptions(fault_model=model, seed=0), cssg=cssg
         )

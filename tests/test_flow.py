@@ -37,27 +37,131 @@ def strip_cpu(payload):
 # -- budgets -----------------------------------------------------------------
 
 
+def step_clock(start_after=lambda: True):
+    """A fake clock for :class:`Budget`: each reading advances one
+    second, but only once ``start_after()`` holds (frozen at 0 before)."""
+    now = [0.0]
+
+    def clock():
+        if start_after():
+            now[0] += 1.0
+        return now[0]
+
+    return clock
+
+
+#: Budget readings vbe6a/two-level gets before it expires: the flow's
+#: start plus two random walks, so the deadline cuts random TPG short.
+VBE6A_DEADLINE = 3.0
+
+
 def test_deadline_yields_valid_partial_result():
-    """Acceptance: a 0.05 s deadline on the largest benchmark returns a
-    valid partial result, untried remainder aborted with reason
-    'budget'."""
-    circuit = load_benchmark("vbe6a", "two-level")  # ~0.5 s unbounded
-    options = AtpgOptions(seed=0, deadline_seconds=0.05)
-    result = Flow.default().run(circuit, options)
+    """Acceptance: a deadline that expires partway through random TPG
+    on the largest benchmark returns a valid partial result, untried
+    remainder aborted with reason 'budget'."""
+    circuit = load_benchmark("vbe6a", "two-level")
+    options = AtpgOptions(seed=0)
+    budget = Budget(deadline_seconds=VBE6A_DEADLINE, clock=step_clock())
+    result = Flow.default().run(circuit, options, budget=budget)
     # Complete ledger and consistent accounting despite the cut-off.
     assert set(result.statuses) == set(result.faults)
     assert (
         result.n_covered + result.n_undetectable + result.n_aborted
         == result.n_total
     )
+    assert result.n_covered > 0, "the deadline must leave two walks to run"
     budget_aborts = [
         s for s in result.statuses.values() if s.reason == REASON_BUDGET
     ]
-    assert budget_aborts, "0.05s must not be enough for vbe6a/two-level"
+    assert budget_aborts, "the deadline must cut vbe6a/two-level short"
     assert all(s.status == "aborted" for s in budget_aborts)
     # The partial result serializes like any other.
     back = type(result).from_json_dict(result.to_json_dict(), circuit)
     assert strip_cpu(back.to_json_dict()) == strip_cpu(result.to_json_dict())
+
+
+def test_deadline_during_proof_leaves_unproven_faults_aborted(monkeypatch):
+    """A deadline that expires while random TPG proves faults
+    undetectable: only faults the classifier really proved come back
+    UNDETECTABLE, and every other undetected fault ends
+    aborted/'budget' — none is mislabelled."""
+    import repro.flow.stages as stages
+    from repro.ext.undetectable import (
+        POSSIBLY_DETECTABLE,
+        classify_undetectable,
+    )
+
+    circuit = load_benchmark("vbe6a", "two-level")
+    options = AtpgOptions(seed=0)
+    full = Flow.default().run(circuit, options)
+    assert full.n_undetectable > 1
+
+    proving = [False]
+
+    def classify_and_flag(*args, **kwargs):
+        proving[0] = True
+        return classify_undetectable(*args, **kwargs)
+
+    monkeypatch.setattr(stages, "classify_undetectable", classify_and_flag)
+    # Frozen until the proof starts, then expires at its second fault
+    # (the proof reads the clock before each fault and before each
+    # fault's product walk).
+    clock = step_clock(start_after=lambda: proving[0])
+    budget = Budget(deadline_seconds=3.0, clock=clock)
+    recorder = Recorder()
+    result = Flow.default().run(
+        circuit, options, budget=budget, listeners=[recorder]
+    )
+    undetectable = [
+        f for f, s in result.statuses.items() if s.status == "undetectable"
+    ]
+    assert 0 < len(undetectable) < full.n_undetectable
+    proofs = classify_undetectable(result.cssg, undetectable)
+    assert all(c.verdict != POSSIBLY_DETECTABLE for c in proofs.values())
+    rest = [
+        s
+        for s in result.statuses.values()
+        if s.status not in ("detected", "undetectable")
+    ]
+    assert rest
+    assert all(s.status == "aborted" and s.reason == REASON_BUDGET for s in rest)
+    # Every detection comes before the first fruitless walk.
+    assert result.n_covered == full.n_covered
+    exhausted = [e for e in recorder.events if isinstance(e, BudgetExhausted)]
+    assert len(exhausted) == 1 and exhausted[0].n_remaining > 0
+
+
+def test_proof_respects_per_fault_product_state_cap(monkeypatch):
+    """Random TPG's undetectability proof works under the run's
+    per-fault cap: with a small ``max_product_states`` no proof
+    explores more product states than the cap, so a fault that needs
+    a longer walk is not proven."""
+    import repro.flow.stages as stages
+    from repro.ext.undetectable import (
+        POSSIBLY_DETECTABLE,
+        classify_undetectable,
+    )
+
+    calls = []
+
+    def classify_and_record(*args, **kwargs):
+        classes = classify_undetectable(*args, **kwargs)
+        calls.append((kwargs["budget_per_fault"], classes))
+        return classes
+
+    monkeypatch.setattr(stages, "classify_undetectable", classify_and_record)
+    circuit = load_benchmark("converta", "complex")
+    n_proven = {}
+    for cap in (200_000, 2):
+        calls.clear()
+        options = AtpgOptions(fault_model="input", seed=0, max_product_states=cap)
+        Flow.default().run(circuit, options)
+        (budget_per_fault, classes), = calls
+        assert budget_per_fault <= cap
+        proofs = [c for c in classes.values() if c.verdict != POSSIBLY_DETECTABLE]
+        assert all(c.product_states <= cap for c in proofs)
+        n_proven[cap] = len(proofs)
+    assert 0 < n_proven[2] < n_proven[200_000]
 
 
 def test_expired_budget_aborts_everything_deterministically(celem):
@@ -151,10 +255,9 @@ def test_event_stream_shape(celem):
 def test_budget_exhausted_event_emitted():
     circuit = load_benchmark("vbe6a", "two-level")
     recorder = Recorder()
+    budget = Budget(deadline_seconds=VBE6A_DEADLINE, clock=step_clock())
     Flow.default().run(
-        circuit,
-        AtpgOptions(seed=0, deadline_seconds=0.05),
-        listeners=[recorder],
+        circuit, AtpgOptions(seed=0), listeners=[recorder], budget=budget
     )
     exhausted = [e for e in recorder.events if isinstance(e, BudgetExhausted)]
     assert len(exhausted) == 1

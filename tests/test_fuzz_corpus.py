@@ -7,8 +7,9 @@ the mirror, keep the XOR, ...), so each file is close to the smallest
 healthy spec exhibiting its feature.  Any implementation drift that
 makes two paired implementations disagree — engine vs legacy settle,
 explicit vs symbolic CSSG, overlay vs materialized faults, walk kernel
-vs worklist reference, plain vs incremental re-ATPG — fails the replay
-here, inside tier-1, without needing a fuzzing run.
+vs worklist reference, plain vs incremental re-ATPG, a-priori
+undetectability proof vs 3-phase generation — fails the replay here,
+inside tier-1, without needing a fuzzing run.
 """
 
 import hashlib

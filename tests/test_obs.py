@@ -268,6 +268,35 @@ def test_metrics_enabled_run_attaches_telemetry_and_counts_faults():
     assert AtpgResult.from_json_dict(data, result.circuit).telemetry is None
 
 
+def test_undetectability_proofs_are_counted_by_proof():
+    """The random-TPG stage's proofs land in
+    ``repro_undetectable_proofs_total{proof}`` and in the stage's
+    ``n_proven`` detail; the payload is byte-identical to an unarmed
+    run's."""
+    circuit = load_benchmark("converta", "complex")
+    options = AtpgOptions(seed=1)
+    plain = Flow.default().run(circuit, options)
+    reg = obs_metrics.enable(MetricsRegistry())
+    events = []
+    armed = Flow.default().run(circuit, options, listeners=[events.append])
+    proofs = {
+        proof: reg.value("repro_undetectable_proofs_total", proof)
+        for proof in ("never-excited", "stable-equivalent")
+    }
+    n_proven = sum(proofs.values())
+    assert n_proven > 0
+    finished = next(
+        e for e in events
+        if isinstance(e, StageFinished) and e.stage == "random-tpg"
+    )
+    assert f"n_proven={int(n_proven)}" in finished.detail.split()
+    armed_doc, plain_doc = armed.to_json_dict(), plain.to_json_dict()
+    armed_doc.pop("telemetry")
+    for doc in (armed_doc, plain_doc):
+        doc.pop("cpu_seconds")
+    assert armed_doc == plain_doc
+
+
 def test_traced_run_produces_stage_spans():
     with use_tracer() as tracer:
         result = run_dff()
