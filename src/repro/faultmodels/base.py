@@ -83,7 +83,7 @@ class FaultModel:
         ``out_force`` / ``self_and`` / ``self_or`` / ``bridges``).
 
         These mask tables are the *only* fault contract: the walk
-        kernel (:mod:`repro.sim.arena`) compiles from them, and an
+        kernel (:mod:`repro.sim.arena`) binds them as data, and an
         ``out_force`` entry also pre-sets its node at reset
         (:meth:`~repro.sim.engine.SimEngine.reset_words`), so a model
         implemented here runs on every simulation path without further

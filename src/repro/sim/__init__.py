@@ -4,9 +4,12 @@
   overlay (none / scalar / packed) at one word width, and the
   per-circuit compiled form it shares with the exact settle explorer.
 * :mod:`repro.sim.arena` — the one ternary settle kernel: a generated
-  generator per overlay (state held in generator locals, one ``send``
-  per test cycle) running Eichelberger's Algorithms A and B.  It
-  serves scalar settling and word-parallel fault simulation alike.
+  generator per circuit and overlay shape (state held in generator
+  locals, one ``send`` per test cycle, fault masks bound as data from
+  an argument tuple) running Eichelberger's Algorithms A and B.  One
+  kernel serves every engine whose shape it covers, scalar settling and
+  word-parallel fault simulation alike; ``engine_for`` caches engines
+  per overlay and width, the compiled form caches kernels per shape.
 * :mod:`repro.sim.ternary` — scalar ternary simulation with optional
   single-fault injection; the conservative race/oscillation detector of
   paper §5.4.  Thin adapter over width-1 engines.

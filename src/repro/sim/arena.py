@@ -1,11 +1,12 @@
-"""The ternary settle kernel: one generated generator per fault overlay.
+"""The ternary settle kernel: one generated generator per circuit and
+overlay shape, fault masks bound as data.
 
 Every ternary settle in the package runs here: the scalar race detector
 of paper §5.4 (:mod:`repro.sim.ternary`), the packed fault simulation of
 random TPG, fault grading and the test-set auditor, and the ternary
 machines of the three-phase generator.  :class:`~repro.sim.engine.SimEngine`
-compiles the kernel lazily for its ``(circuit, fault overlay, width)``
-and drives it.
+binds its ``(fault overlay, width)`` into a kernel of its circuit and
+drives it.
 
 The kernel is one generated *generator* whose locals hold every
 signal's ``(l, h)`` words; each test cycle is a single ``send``
@@ -21,23 +22,101 @@ packing, no list copies, no per-gate function calls.  CPython bignum
 bitwise ops are already C-speed word-parallel, so one int word holds
 the whole fault universe.  ``tests/test_arena.py`` checks the kernel
 against the worklist reference on every Table 1 circuit and fault model.
+
+**Overlay shapes.**  A kernel is generated from the circuit's compiled
+form and an *overlay shape*: the set of mask slots it reads, each slot
+one mask pair on one gate (:data:`PIN`, :data:`OUT`, :data:`SELF`,
+:data:`BRIDGE`).  The mask values, their complements, the all-machines
+word ``ones`` and the Algorithm A/B round cap are generator locals,
+unpacked on entry from one argument tuple (:meth:`WalkKernel.bind`).
+So one compiled kernel serves every engine whose shape it covers, at
+any width: a slot the engine does not use gets zero masks, the identity
+of every blend.  Kernels are cached on the circuit's compiled form
+(:func:`kernel_for`): random TPG's universe engine compiles once per
+circuit and fault model, and the scalar engines of the undetectability
+proofs and three-phase, fault grading and the auditor bind into it.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro._bits import mask
 from repro.circuit.expr import OP_AND, OP_NOT, OP_OR, OP_VAR, OP_XOR, Program
+from repro.circuit.netlist import Gate
 from repro.errors import SimulationError
 from repro.obs import metrics as _obs
 
 if TYPE_CHECKING:
     from repro.sim.engine import CompiledCircuit, SimEngine
 
-__all__ = ["ArenaWalk", "compile_walk"]
+__all__ = ["ArenaWalk", "WalkKernel", "kernel_for"]
 
 _WORD = 64
+
+#: Overlay slot families.  A slot is a tuple ``(family, gate, ...)``
+#: naming one mask pair ``(a, b)`` on one gate signal:
+#:
+#: * ``(PIN, gate, site)`` — force-0 / force-1 masks on the operand
+#:   reads of pin ``site`` (input stuck-at);
+#: * ``(OUT, gate)`` — force-0 / force-1 masks on the result (output
+#:   stuck-at);
+#: * ``(SELF, gate)`` — AND-with-self / OR-with-self masks blending the
+#:   gate's own current value (slow-to-rise / slow-to-fall transitions);
+#: * ``(BRIDGE, gate, partner)`` — wired-AND / wired-OR masks blending
+#:   the partner gate's clean function (bridging).
+PIN, OUT, SELF, BRIDGE = "pin", "out", "self", "bridge"
+
+Slot = Tuple
+#: The slots a kernel reads; one engine's overlay has the shape of its
+#: mask table's keys.
+Shape = FrozenSet[Slot]
+
+#: Kernel-cache capacity per circuit.  A flow compiles one kernel per
+#: fault model; the bound only matters for streams of uncovered shapes
+#: (fuzzing, direct three-phase calls with no random TPG first).
+_KERNEL_CACHE_SIZE = 16
+
+#: Compile counter (metric series, help text).
+_COMPILE_SERIES = (
+    "repro_sim_kernel_compiles_total",
+    "Walk kernels compiled (one per circuit and uncovered overlay shape).",
+)
+
+
+def _gate_slots(shape) -> Dict[int, List[Slot]]:
+    """The slots of ``shape`` grouped by the gate signal carrying them,
+    each group sorted (bridges by partner)."""
+    by_gate: Dict[int, List[Slot]] = {}
+    for slot in sorted(shape):
+        by_gate.setdefault(slot[1], []).append(slot)
+    return by_gate
+
+
+def _exam_mask(gate: Gate, slots: Sequence[Slot], gate_at: Mapping[int, Gate]) -> int:
+    """Signal bitmask that must intersect the changed-set for ``gate``
+    to need re-evaluation: its support, any bridge partner's support,
+    and its own output (covers self blends and seeding)."""
+    sigs = set(gate.support)
+    sigs.add(gate.index)
+    for slot in slots:
+        if slot[0] == BRIDGE:
+            sigs.update(gate_at[slot[2]].support)
+    m = 0
+    for s in sigs:
+        m |= 1 << s
+    return m
 
 
 def _emit_eval(
@@ -45,14 +124,12 @@ def _emit_eval(
     indent: str,
     tag: str,
     program: Program,
-    ones: int,
+    ones: str,
     ref: Callable[[int], Tuple[str, str]],
-    pin_force: Optional[Dict[int, Tuple[int, int]]] = None,
-    out_force: Optional[Tuple[int, int]] = None,
-    self_ref: Optional[Tuple[str, str]] = None,
-    self_and: int = 0,
-    self_or: int = 0,
-    bridges: Optional[List[Tuple[Program, int, int]]] = None,
+    self_ref: Tuple[str, str],
+    slots: Sequence[Slot],
+    operand: Callable[[Slot], Tuple[str, str, str, str]],
+    gate_at: Mapping[int, Gate],
 ) -> Tuple[str, str]:
     """Append the straight-line evaluation of one gate to ``lines``;
     returns the final ``(l, h)`` result expressions.
@@ -60,28 +137,30 @@ def _emit_eval(
     This is the single source of truth for the ternary operator and
     overlay-mask formulas: the walk kernel below and the per-gate
     worklist reference in :mod:`repro.sim.legacy` both emit through it,
-    so the kernel and its reference cannot drift apart.
-    ``ref(sig)`` names a signal's (l, h) operand pair in the target
-    kernel's vocabulary (list reads or locals); per-machine mask
-    constants are rendered as int literals.  Overlay hooks, each a
-    per-machine mask over the word's bits:
+    so the kernel and its reference cannot drift apart.  Every operand
+    is an expression in the target's vocabulary: ``ref(sig)`` names a
+    signal's ``(l, h)`` pair (list reads or locals), ``self_ref`` the
+    gate's own, ``ones`` the all-machines word, and ``operand(slot)``
+    the ``(a, b, ones & ~a, ones & ~b)`` words of one overlay slot — the
+    kernel passes local names, the reference rendered int literals.
+    The gate's ``slots`` (see :data:`PIN`) apply, each a per-machine
+    mask pair over the word's bits:
 
-    * ``pin_force[site] = (f0, f1)`` bakes per-pin stuck-at masks into
-      the operand reads;
-    * ``bridges`` is a list of ``(partner_program, and_mask, or_mask)``
-      blocks: the partner's (clean) function is evaluated inline and the
-      result blended in — the ternary AND for machines in ``and_mask``
-      (wired-AND bridging), the OR for ``or_mask`` machines;
-    * ``self_and`` / ``self_or`` blend the gate's **own current value**
-      (``self_ref``) into the result — the self-sticky encoding of
+    * a ``PIN`` pair ``(f0, f1)`` clamps the pin's operand reads,
+      ``(l|f0)&~f1`` / ``(h|f1)&~f0``;
+    * each ``BRIDGE`` pair ``(and, or)`` evaluates the partner's (clean)
+      function inline and blends the result in — the ternary AND for
+      machines in ``and`` (wired-AND bridging), the OR for ``or``;
+    * a ``SELF`` pair ``(and, or)`` blends the gate's **own current
+      value** into the result — the self-sticky encoding of
       slow-to-rise / slow-to-fall transition faults;
-    * ``out_force`` forces the result words (output stuck-at).
+    * an ``OUT`` pair ``(f0, f1)`` clamps the result words.
 
-    Every blend is the identity outside its mask, and each machine bit
-    carries at most one fault, so the application order is immaterial.
-    Temporaries are introduced per operator, so the generated code is
-    linear in the program length (shared subterms are never
-    re-expanded).
+    Every blend is the identity outside its mask (zero masks leave the
+    gate clean), and each machine bit carries at most one fault, so the
+    application order is immaterial.  Temporaries are introduced per
+    operator, so the generated code is linear in the program length
+    (shared subterms are never re-expanded).
     """
     counter = [0]
 
@@ -96,18 +175,13 @@ def _emit_eval(
         stack: List[Tuple[str, str]] = []
         for op, arg in prog:
             if op == OP_VAR:
-                force = forces.get(arg) if forces else None
+                force = forces.get(arg)
                 rl, rh = ref(arg)
                 if force is None:
                     stack.append((rl, rh))
                 else:
-                    f0, f1 = force
-                    stack.append(
-                        (
-                            f"(({rl}|{f0})&{ones & ~f1})",
-                            f"(({rh}|{f1})&{ones & ~f0})",
-                        )
-                    )
+                    f0, f1, n0, n1 = force
+                    stack.append((f"(({rl}|{f0})&{n1})", f"(({rh}|{f1})&{n0})"))
             elif op == OP_NOT:
                 l, h = stack.pop()
                 stack.append((h, l))
@@ -133,42 +207,36 @@ def _emit_eval(
                 )
                 stack[-1] = (a, b)
             else:  # OP_CONST
-                stack.append(
-                    (str(0 if arg else ones), str(ones if arg else 0))
-                )
+                stack.append(("0", ones) if arg else (ones, "0"))
         return stack.pop()
 
-    l, h = emit(program, pin_force)
-    for partner_program, and_mask, or_mask in bridges or ():
-        # Masked blend of the partner's driven value: per machine,
-        # ternary AND for and_mask bits, ternary OR for or_mask bits,
-        # identity elsewhere (the masks never share a bit).
-        lb, hb = emit(partner_program, None)
+    pins = {slot[2]: operand(slot) for slot in slots if slot[0] == PIN}
+    l, h = emit(program, pins)
+    for slot in slots:
+        family = slot[0]
+        if family == PIN:
+            continue
+        x0, x1, n0, n1 = operand(slot)
         a, b = fresh()
-        lines.append(
-            f"{indent}{a} = (({l})|({lb}&{and_mask}))"
-            f"&(({lb})|{ones & ~or_mask}); "
-            f"{b} = (({h})&(({hb})|{ones & ~and_mask}))"
-            f"|(({hb})&{or_mask})"
-        )
-        l, h = a, b
-    if self_and or self_or:
-        sl, sh = self_ref
-        a, b = fresh()
-        lines.append(
-            f"{indent}{a} = (({l})|({sl}&{self_and}))"
-            f"&({sl}|{ones & ~self_or}); "
-            f"{b} = (({h})&({sh}|{ones & ~self_and}))"
-            f"|({sh}&{self_or})"
-        )
-        l, h = a, b
-    if out_force is not None:
-        f0, f1 = out_force
-        a, b = fresh()
-        lines.append(
-            f"{indent}{a} = ({l}|{f0})&{ones & ~f1}; "
-            f"{b} = ({h}|{f1})&{ones & ~f0}"
-        )
+        if family == BRIDGE:
+            # Masked blend of the partner's driven value: per machine,
+            # ternary AND for `and` bits, ternary OR for `or` bits,
+            # identity elsewhere (the masks never share a bit).
+            lb, hb = emit(gate_at[slot[2]].program, {})
+            lines.append(
+                f"{indent}{a} = (({l})|({lb}&{x0}))&(({lb})|{n1}); "
+                f"{b} = (({h})&(({hb})|{n0}))|(({hb})&{x1})"
+            )
+        elif family == SELF:
+            sl, sh = self_ref
+            lines.append(
+                f"{indent}{a} = (({l})|({sl}&{x0}))&({sl}|{n1}); "
+                f"{b} = (({h})&({sh}|{n0}))|({sh}&{x1})"
+            )
+        else:  # OUT
+            lines.append(
+                f"{indent}{a} = ({l}|{x0})&{n1}; {b} = ({h}|{x1})&{n0}"
+            )
         l, h = a, b
     return l, h
 
@@ -177,36 +245,6 @@ def _exec(src: str, filename: str) -> Dict[str, object]:
     ns: Dict[str, object] = {}
     exec(compile(src, filename, "exec"), ns)  # noqa: S102 - trusted codegen
     return ns
-
-
-def _overlay_kwargs(engine: SimEngine, pos: int, gate_at) -> dict:
-    """The :func:`_emit_eval` overlay arguments for gate ``pos``."""
-    gi = engine.cc.gate_index[pos]
-    return dict(
-        pin_force=engine.pin_force.get(gi),
-        out_force=engine.out_force.get(gi),
-        self_and=engine.self_and.get(gi, 0),
-        self_or=engine.self_or.get(gi, 0),
-        bridges=[
-            (gate_at[partner].program, ma, mo)
-            for partner, (ma, mo) in sorted(engine.bridges.get(gi, {}).items())
-        ],
-    )
-
-
-def _exam_mask(engine: SimEngine, pos: int, gate_at) -> int:
-    """Signal bitmask that must intersect the changed-set for gate
-    ``pos`` to need re-evaluation: its support, any bridge partner's
-    support, and its own output (covers self blends and seeding)."""
-    gi = engine.cc.gate_index[pos]
-    sigs = set(engine.cc.gates[pos].support)
-    sigs.add(gi)
-    for partner in engine.bridges.get(gi, {}):
-        sigs.update(gate_at[partner].support)
-    m = 0
-    for s in sigs:
-        m |= 1 << s
-    return m
 
 
 def _emit_observe(ap, indent: str, cc: CompiledCircuit, good: str, dest: str):
@@ -220,24 +258,33 @@ def _emit_observe(ap, indent: str, cc: CompiledCircuit, good: str, dest: str):
         ap(f"{indent}    {dest} |= h{out} & ~l{out}")
 
 
-def _codegen_walk(engine: SimEngine) -> str:
-    """Source of the walk generator for one engine overlay.
+def _codegen_walk(cc: CompiledCircuit, slots: Sequence[Slot]) -> str:
+    """Source of the walk generator reading the overlay ``slots``.
 
-    Protocol (after priming with ``next``): ``send((pattern, good))``
-    with ``pattern >= 0`` runs one test cycle — drive inputs, Algorithm
-    A then B over the changed-signal bitmask, observe — and yields the
-    detection word.  Control ops use negative first elements:
-    ``(-1, good)`` observes without stepping, ``(-2, 0)`` fully settles
-    the current state (every gate is examined), ``(-3, 0)`` yields a
-    snapshot ``((l...), (h...))`` of every signal word.
+    ``walk(low, high, args)`` starts from the given words; ``args`` is
+    :meth:`WalkKernel.bind`'s tuple.  Protocol (after priming with
+    ``next``): ``send((pattern, good))`` with ``pattern >= 0`` runs one
+    test cycle — drive inputs, Algorithm A then B over the
+    changed-signal bitmask, observe — and yields the detection word.
+    Control ops use negative first elements: ``(-1, good)`` observes
+    without stepping, ``(-2, 0)`` fully settles the current state (every
+    gate is examined), ``(-3, 0)`` yields a snapshot ``((l...), (h...))``
+    of every signal word.
     """
-    cc = engine.cc
-    ones = engine.ones
     n_signals = cc.n_signals
     gate_at = {g.index: g for g in cc.gates}
-    cap = 2 * n_signals * max(1, engine.width) + 4
-    lines: List[str] = ["def walk(low, high):"]
+    by_gate = _gate_slots(slots)
+    index = {slot: k for k, slot in enumerate(slots)}
+
+    def operand(slot: Slot) -> Tuple[str, str, str, str]:
+        k = index[slot]
+        return f"m{k}a", f"m{k}b", f"m{k}na", f"m{k}nb"
+
+    lines: List[str] = ["def walk(low, high, args):"]
     ap = lines.append
+    ap("    " + ", ".join(["ones", "cap"] + [
+        name for slot in slots for name in operand(slot)
+    ]) + " = args")
     for i in range(n_signals):
         ap(f"    l{i} = low[{i}]; h{i} = high[{i}]")
     snapshot = (
@@ -254,11 +301,11 @@ def _codegen_walk(engine: SimEngine) -> str:
     ap("            ac = 0")
     for i in range(cc.n_inputs):
         ap(f"            if (a >> {i}) & 1:")
-        ap(f"                if l{i} or h{i} != {ones}:")
-        ap(f"                    l{i} = 0; h{i} = {ones}; ac |= {1 << i}")
+        ap(f"                if l{i} or h{i} != ones:")
+        ap(f"                    l{i} = 0; h{i} = ones; ac |= {1 << i}")
         ap("            else:")
-        ap(f"                if l{i} != {ones} or h{i}:")
-        ap(f"                    l{i} = {ones}; h{i} = 0; ac |= {1 << i}")
+        ap(f"                if l{i} != ones or h{i}:")
+        ap(f"                    l{i} = ones; h{i} = 0; ac |= {1 << i}")
     ap("        elif a == -1:")
     _emit_observe(ap, "            ", cc, "b", "det")
     ap("            r = det")
@@ -268,6 +315,25 @@ def _codegen_walk(engine: SimEngine) -> str:
     ap("        else:")
     ap(f"            r = {snapshot}")
     ap("            continue")
+
+    def emit_gate(pos: int, tag: str) -> Tuple[str, str]:
+        gate = cc.gates[pos]
+        gi = gate.index
+        gate_slots = by_gate.get(gi, ())
+        ap(f"            if ({tag}c | nc) & {_exam_mask(gate, gate_slots, gate_at)}:")
+        return _emit_eval(
+            lines,
+            "                ",
+            f"{tag}{pos}_",
+            gate.program,
+            "ones",
+            ref=lambda arg: (f"l{arg}", f"h{arg}"),
+            self_ref=(f"l{gi}", f"h{gi}"),
+            slots=gate_slots,
+            operand=operand,
+            gate_at=gate_at,
+        )
+
     # Algorithm A: value <- lub(value, eval), to the least fixpoint.
     # Each pass re-evaluates exactly the gates whose exam mask meets the
     # signals changed in the previous pass; aev remembers every gate
@@ -278,25 +344,14 @@ def _codegen_walk(engine: SimEngine) -> str:
     ap("        while ac:")
     ap("            nc = 0")
     ap("            rounds += 1")
-    ap(f"            if rounds > {cap}:")
+    ap("            if rounds > cap:")
     ap(
         "                raise SimulationError("
         "'Algorithm A failed to converge (internal bug)')"
     )
     for pos in cc.order:
         gi = cc.gate_index[pos]
-        exam = _exam_mask(engine, pos, gate_at)
-        ap(f"            if (ac | nc) & {exam}:")
-        l, h = _emit_eval(
-            lines,
-            "                ",
-            f"g{pos}_",
-            cc.gates[pos].program,
-            ones,
-            ref=lambda arg: (f"l{arg}", f"h{arg}"),
-            self_ref=(f"l{gi}", f"h{gi}"),
-            **_overlay_kwargs(engine, pos, gate_at),
-        )
+        l, h = emit_gate(pos, "a")
         ap(f"                aev |= {1 << gi}")
         ap(f"                nl = ({l}) | l{gi}; nh = ({h}) | h{gi}")
         ap(f"                if nl != l{gi} or nh != h{gi}:")
@@ -309,25 +364,14 @@ def _codegen_walk(engine: SimEngine) -> str:
     ap("        while bc:")
     ap("            nc = 0")
     ap("            rounds += 1")
-    ap(f"            if rounds > {cap}:")
+    ap("            if rounds > cap:")
     ap(
         "                raise SimulationError("
         "'Algorithm B failed to converge (internal bug)')"
     )
     for pos in cc.order:
         gi = cc.gate_index[pos]
-        exam = _exam_mask(engine, pos, gate_at)
-        ap(f"            if (bc | nc) & {exam}:")
-        l, h = _emit_eval(
-            lines,
-            "                ",
-            f"b{pos}_",
-            cc.gates[pos].program,
-            ones,
-            ref=lambda arg: (f"l{arg}", f"h{arg}"),
-            self_ref=(f"l{gi}", f"h{gi}"),
-            **_overlay_kwargs(engine, pos, gate_at),
-        )
+        l, h = emit_gate(pos, "b")
         ap(f"                if ({l}) != l{gi} or ({h}) != h{gi}:")
         ap(f"                    l{gi} = ({l}); h{gi} = ({h}); nc |= {1 << gi}")
     ap("            bc = nc")
@@ -336,14 +380,55 @@ def _codegen_walk(engine: SimEngine) -> str:
     return "\n".join(lines)
 
 
-def compile_walk(engine: SimEngine) -> Callable:
-    """The compiled walk generator function for ``engine``'s overlay;
-    call it with the start ``(low words, high words)``."""
-    ns = _exec(
-        _codegen_walk(engine), f"<walk:{engine.cc.name}:{len(engine.faults)}f>"
-    )
-    ns["SimulationError"] = SimulationError
-    return ns["walk"]
+class WalkKernel:
+    """One compiled walk generator function and the overlay shape it
+    reads.  Serves any overlay whose shape is a subset of ``shape``."""
+
+    __slots__ = ("shape", "slots", "fn", "n_signals")
+
+    def __init__(self, cc: CompiledCircuit, shape: Shape):
+        self.shape = frozenset(shape)
+        self.slots: Tuple[Slot, ...] = tuple(sorted(self.shape))
+        self.n_signals = cc.n_signals
+        ns = _exec(
+            _codegen_walk(cc, self.slots),
+            f"<walk:{cc.name}:{len(self.slots)} slots>",
+        )
+        ns["SimulationError"] = SimulationError
+        #: ``fn(low words, high words, args)``, a walk generator.
+        self.fn: Callable = ns["walk"]
+        if _obs.enabled():
+            _obs.get_registry().counter(*_COMPILE_SERIES).inc()
+
+    def bind(self, masks: Mapping[Slot, Tuple[int, int]], width: int) -> tuple:
+        """The argument tuple running the overlay ``masks`` (slot ->
+        mask pair, every slot one of this kernel's) on ``width``
+        machines: ``ones``, the Algorithm A/B round cap, then per kernel
+        slot its pair and their complements — zeros where ``masks`` has
+        no entry."""
+        ones = mask(width)
+        args = [ones, 2 * self.n_signals * max(1, width) + 4]
+        for slot in self.slots:
+            a, b = masks.get(slot, (0, 0))
+            args += (a, b, ones & ~a, ones & ~b)
+        return tuple(args)
+
+
+def kernel_for(cc: CompiledCircuit, shape: Shape) -> WalkKernel:
+    """The most recently used kernel of ``cc`` whose shape covers
+    ``shape``; one is compiled when none does.  ``cc.kernels`` is kept
+    in use order and LRU-bounded to :data:`_KERNEL_CACHE_SIZE`."""
+    kernels = cc.kernels
+    for i in range(len(kernels) - 1, -1, -1):
+        kernel = kernels[i]
+        if shape <= kernel.shape:
+            kernels.append(kernels.pop(i))
+            return kernel
+    kernel = WalkKernel(cc, shape)
+    kernels.append(kernel)
+    if len(kernels) > _KERNEL_CACHE_SIZE:
+        del kernels[0]
+    return kernel
 
 
 class _WalkMeter:

@@ -5,17 +5,19 @@ fixpoint over one circuit: scalar settling, the race detector of paper
 §5.4, word-parallel fault simulation, the ternary three-phase machines
 and the test-set auditor.  :class:`SimEngine` pairs a circuit with a
 fault-injection overlay at one word width and serves all of them from
-one kernel, the walk generator of :mod:`repro.sim.arena`, compiled on
-first use.  Both fixpoints are unique under any fair evaluation order
-(the ternary operators are monotone on a finite lattice), so the kernel
+one kernel, the walk generator of :mod:`repro.sim.arena`: one kernel
+per circuit and overlay shape, the engine's masks bound into it as
+data on first use.  Both fixpoints are unique under any fair evaluation
+order (the ternary operators are monotone on a finite lattice), so the kernel
 is bit-identical to the seed's sweeps and to the per-gate worklist loop
 it replaced; ``tests/test_sim_cross.py`` and ``tests/test_arena.py``
 check it against both references in :mod:`repro.sim.legacy`.
 
 The per-circuit :class:`CompiledCircuit` holds what the kernel code
 generator reads (gate programs, outputs, the levelized schedule) plus
-the binary excited-gate function of the exact settling explorer and its
-settle-report memo.  It keeps no reference to the :class:`Circuit`.
+the binary excited-gate function of the exact settling explorer, its
+settle-report memo and its compiled walk kernels.  It keeps no
+reference to the :class:`Circuit`.
 
 **Fault overlays.**  One machine per bit of a Python int (paper §5.4);
 an empty overlay is plain good-machine simulation, a width-1 overlay
@@ -35,13 +37,18 @@ identity outside its machine mask, so one word freely mixes models:
   with the *partner gate's function*, evaluated inline over the
   partner's true operands; both bridged gates carry the blend.
 
-A model outside the inlined stuck-at pair installs its masks through
-:meth:`repro.faultmodels.FaultModel.engine_overlay`; every downstream
-workload picks the new kind up unchanged.
+Every fault kind, the stuck-at pair included, installs its masks
+through its model's :meth:`repro.faultmodels.FaultModel.engine_overlay`;
+a new model's kind runs on every downstream workload unchanged.  The
+tables flatten into :attr:`SimEngine.masks`, one mask pair per overlay
+slot, whose keys are the engine's overlay shape.
 
 Engines are cached per ``(circuit, faults, width)``, so repeated
-construction (per-fault machines, per-test auditing) reuses the
-compiled kernel.
+construction (per-fault machines, per-test auditing) reuses the bound
+engine.  Kernels are cached per circuit and compiled only for a shape
+no cached kernel covers: once random TPG's universe engine is bound,
+every one-fault engine of that model binds into its kernel with zero
+masks in the slots it does not use (:func:`repro.sim.arena.kernel_for`).
 """
 
 from __future__ import annotations
@@ -55,7 +62,18 @@ from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit
 from repro.errors import ReproError, SimulationError
 from repro.obs import metrics as _obs
-from repro.sim.arena import ArenaWalk, _exec, _WalkMeter, compile_walk
+from repro.sim.arena import (
+    BRIDGE,
+    OUT,
+    PIN,
+    SELF,
+    ArenaWalk,
+    Slot,
+    WalkKernel,
+    _exec,
+    _WalkMeter,
+    kernel_for,
+)
 
 #: ``(low words, high words)``: one word per signal, one bit per machine.
 WordState = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -114,6 +132,9 @@ class CompiledCircuit:
         #: the circuit's settle-report memo, a
         #: :class:`repro.sgraph.explore.SettleMemo` made on first use.
         self.settle_memo = None
+        #: the circuit's compiled walk kernels, least recently used
+        #: first (:func:`repro.sim.arena.kernel_for`).
+        self.kernels: List[WalkKernel] = []
 
 
 def compiled(circuit: Circuit) -> CompiledCircuit:
@@ -145,7 +166,9 @@ def engine_for(
     pass ``width=len(faults)``, 0 for an empty universe.  The cache lives
     on the circuit (engines reference only its compiled form, so no
     reference cycle forms) and is LRU-bounded to ``_ENGINE_CACHE_SIZE``
-    overlays.
+    overlays.  An engine binds into a walk kernel of the circuit's
+    compiled form on first use, compiling only when no cached kernel's
+    shape covers its overlay (see :mod:`repro.sim.arena`).
     """
     faults = tuple(faults)
     if width is None:
@@ -171,7 +194,8 @@ class SimEngine:
     State is a pair of per-signal word sequences ``(L, H)``: bit *j* of
     ``L[i]`` means "signal *i* of machine *j* can be 0", likewise ``H``
     for "can be 1" — the exact encoding of the seed simulators.  Every
-    method runs the compiled walk kernel; :meth:`settle` and
+    method runs the circuit's walk kernel with this engine's argument
+    tuple (:meth:`repro.sim.arena.WalkKernel.bind`); :meth:`settle` and
     :meth:`apply_pattern` return fresh ``(L, H)`` tuples and leave their
     arguments untouched.
     """
@@ -181,10 +205,8 @@ class SimEngine:
         self.faults = tuple(faults)
         self.width = width
         self.ones = mask(width)
-        # Overlay mask tables, filled per fault (one machine bit each).
-        # Registered fault models write these through their
-        # ``engine_overlay`` hook; the two stuck-at kinds are inlined as
-        # the historical fast path.
+        # Overlay mask tables, filled per fault (one machine bit each)
+        # by the fault's registered model through its ``engine_overlay``.
         #: pin_force[gate signal index][site] = (force-0 mask, force-1 mask)
         self.pin_force: Dict[int, Dict[int, Tuple[int, int]]] = {}
         #: out_force[gate signal index] = (force-0 mask, force-1 mask)
@@ -197,38 +219,42 @@ class SimEngine:
         #: (wired-AND mask, wired-OR mask) — the gate's result is blended
         #: with the partner gate's (clean) function for those machines.
         self.bridges: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        for j, fault in enumerate(self.faults):
-            if fault.kind == "input":
-                per_gate = self.pin_force.setdefault(fault.gate, {})
-                f0, f1 = per_gate.get(fault.site, (0, 0))
-                if fault.value == 0:
-                    f0 |= 1 << j
-                else:
-                    f1 |= 1 << j
-                per_gate[fault.site] = (f0, f1)
-            elif fault.kind == "output":
-                f0, f1 = self.out_force.get(fault.gate, (0, 0))
-                if fault.value == 0:
-                    f0 |= 1 << j
-                else:
-                    f1 |= 1 << j
-                self.out_force[fault.gate] = (f0, f1)
-            else:
-                from repro.faultmodels import model_for_kind
+        from repro.faultmodels import model_for_kind
 
-                try:
-                    model = model_for_kind(fault.kind)
-                except ReproError as exc:
-                    raise SimulationError(str(exc)) from None
-                model.engine_overlay(self, fault, j)
+        for j, fault in enumerate(self.faults):
+            try:
+                model = model_for_kind(fault.kind)
+            except ReproError as exc:
+                raise SimulationError(str(exc)) from None
+            model.engine_overlay(self, fault, j)
+        #: The overlay as the kernel binds it: slot -> mask pair (see
+        #: :data:`repro.sim.arena.PIN`); its keys are the overlay shape.
+        self.masks: Dict[Slot, Tuple[int, int]] = {}
+        for gi, per_gate in self.pin_force.items():
+            for site, pair in per_gate.items():
+                self.masks[(PIN, gi, site)] = pair
+        for gi, pair in self.out_force.items():
+            self.masks[(OUT, gi)] = pair
+        for gi in self.self_and.keys() | self.self_or.keys():
+            self.masks[(SELF, gi)] = (
+                self.self_and.get(gi, 0),
+                self.self_or.get(gi, 0),
+            )
+        for gi, per_gate in self.bridges.items():
+            for partner, pair in per_gate.items():
+                self.masks[(BRIDGE, gi, partner)] = pair
         self._walk_fn = None
+        self._args = None
 
     def _start(self, low: Sequence[int], high: Sequence[int]):
-        """A primed kernel generator over the given words."""
+        """A primed kernel generator over the given words.  The first
+        call binds the overlay into a covering kernel of the circuit."""
         walk_fn = self._walk_fn
         if walk_fn is None:
-            walk_fn = self._walk_fn = compile_walk(self)
-        gen = walk_fn(low, high)
+            kernel = kernel_for(self.cc, frozenset(self.masks))
+            self._args = kernel.bind(self.masks, self.width)
+            walk_fn = self._walk_fn = kernel.fn
+        gen = walk_fn(low, high, self._args)
         next(gen)
         return gen
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.circuit.expr import Program, eval_ternary
+from repro.circuit.expr import eval_ternary
 from repro.circuit.faults import Fault
 from repro.circuit.netlist import Circuit, Gate
 from repro.errors import SimulationError
-from repro.sim.arena import _emit_eval, _exec, _overlay_kwargs
+from repro.sim.arena import BRIDGE, SELF, Slot, _emit_eval, _exec, _gate_slots
 from repro.sim.engine import engine_for
 from repro.sim.ternary import TernaryState
 
@@ -125,32 +125,33 @@ GateFn = Callable[[List[int], List[int]], Tuple[int, int]]
 
 def _codegen_ternary(
     name: str,
-    program: Program,
+    gate: Gate,
     ones: int,
-    pin_force: Optional[Dict[int, Tuple[int, int]]] = None,
-    out_force: Optional[Tuple[int, int]] = None,
-    gate_index: Optional[int] = None,
-    self_and: int = 0,
-    self_or: int = 0,
-    bridges: Optional[List[Tuple[Program, int, int]]] = None,
+    masks: Dict[Slot, Tuple[int, int]],
+    slots: Sequence[Slot],
+    gate_at: Dict[int, Gate],
 ) -> str:
     """Source of one compiled gate evaluator ``name(L, H) -> (l, h)``
-    reading per-signal word lists; see :func:`_emit_eval` for the
-    overlay-mask vocabulary."""
+    reading per-signal word lists, with the overlay ``slots`` on this
+    gate rendered as int literals from ``masks``; see :func:`_emit_eval`
+    for the overlay-mask vocabulary."""
+
+    def literals(slot: Slot) -> Tuple[str, str, str, str]:
+        a, b = masks[slot]
+        return str(a), str(b), str(ones & ~a), str(ones & ~b)
+
     lines = [f"def {name}(L, H):"]
     l, h = _emit_eval(
         lines,
         "    ",
         "",
-        program,
-        ones,
+        gate.program,
+        str(ones),
         ref=lambda arg: (f"L[{arg}]", f"H[{arg}]"),
-        pin_force=pin_force,
-        out_force=out_force,
-        self_ref=(f"L[{gate_index}]", f"H[{gate_index}]"),
-        self_and=self_and,
-        self_or=self_or,
-        bridges=bridges,
+        self_ref=(f"L[{gate.index}]", f"H[{gate.index}]"),
+        slots=slots,
+        operand=literals,
+        gate_at=gate_at,
     )
     lines.append(f"    return {l}, {h}")
     return "\n".join(lines)
@@ -160,11 +161,14 @@ class WorklistEngine:
     """Algorithm A/B over per-gate compiled evaluators, event-driven
     through a fanout worklist, on per-signal word lists mutated in place.
 
-    It reads the overlay mask tables and the reset pre-set of the
+    It reads the overlay masks and the reset pre-set of the
     :class:`~repro.sim.engine.SimEngine` for the same ``(circuit,
     faults, width)`` and emits through the same operator emitter, so it
-    differs from the walk kernel only in the fixpoint loop.  ``width``
-    defaults to ``len(faults)``, the packed-walk rule.
+    differs from the walk kernel only in the fixpoint loop and in
+    rendering the masks as int literals where the kernel binds them as
+    data: a fault in the kernel's argument binding cannot hide in the
+    reference.  ``width`` defaults to ``len(faults)``, the packed-walk
+    rule.
     """
 
     def __init__(
@@ -185,13 +189,15 @@ class WorklistEngine:
         self.gate_index: Tuple[int, ...] = tuple(g.index for g in circuit.gates)
         self.order: Tuple[int, ...] = circuit.levels()
         gate_at = {g.index: g for g in circuit.gates}
+        by_gate = _gate_slots(engine.masks)
         src = "\n".join(
             _codegen_ternary(
                 f"g{pos}",
-                gate.program,
+                gate,
                 self.ones,
-                gate_index=gate.index,
-                **_overlay_kwargs(engine, pos, gate_at),
+                engine.masks,
+                by_gate.get(gate.index, ()),
+                gate_at,
             )
             for pos, gate in enumerate(circuit.gates)
         )
@@ -205,11 +211,12 @@ class WorklistEngine:
         # change, so such engines carry a widened fanout.
         pos_of = {gi: pos for pos, gi in enumerate(self.gate_index)}
         extra: Dict[int, set] = {}
-        for gi in set(engine.self_and) | set(engine.self_or):
-            extra.setdefault(gi, set()).add(pos_of[gi])
-        for gi, partners in engine.bridges.items():
-            for partner in partners:
-                for src_sig in gate_at[partner].support:
+        for slot in engine.masks:
+            gi = slot[1]
+            if slot[0] == SELF:
+                extra.setdefault(gi, set()).add(pos_of[gi])
+            elif slot[0] == BRIDGE:
+                for src_sig in gate_at[slot[2]].support:
                     extra.setdefault(src_sig, set()).add(pos_of[gi])
         fanout = list(circuit.fanouts())
         for sig, positions in extra.items():

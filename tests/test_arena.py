@@ -23,14 +23,15 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.benchmarks_data import TABLE1_NAMES, load_benchmark
+from repro.benchmarks_data import TABLE1_NAMES, TABLE2_NAMES, load_benchmark
 from repro.core.random_tpg import random_tpg
 from repro.core.sequences import Test
 from repro.core.verify import verify_test_set
 from repro.faultmodels import get_model, model_names
 from repro.flow.stages import fault_simulate
 from repro.sgraph.cssg import build_cssg
-from repro.sim.engine import engine_for
+from repro.sim import arena, ternary
+from repro.sim.engine import compiled, engine_for
 from repro.sim.legacy import WorklistEngine
 
 WALK_LEN = 8
@@ -82,6 +83,108 @@ def test_arena_walk_and_slab_match_batch(name, model_name):
         ref.apply_pattern(low, high, pattern)
         assert walk.step(pattern, good) == ref.observe(low, high, good)
         assert walk.state() == (tuple(low), tuple(high))
+
+
+def _fresh(name, style):
+    """A newly synthesized circuit: no kernel compiled on it yet (the
+    loader's cached circuits carry kernels from earlier tests)."""
+    return load_benchmark.__wrapped__(name, style)
+
+
+def _packed(low, high):
+    """Width-1 word lists as a scalar ternary state."""
+    return ternary._pack(low, high)
+
+
+COVER_GRID = [
+    (name, "complex", model)
+    for name in TABLE1_NAMES
+    for model in ("output", "input", "bridging", "transition")
+] + [
+    (name, "two-level", model)
+    for name in TABLE2_NAMES
+    for model in ("input", "output")
+]
+
+
+@pytest.mark.parametrize("name,style,model_name", COVER_GRID)
+def test_scalar_engines_reuse_the_universe_kernel(name, style, model_name):
+    """Once the packed universe engine is bound, every one-fault width-1
+    engine binds its masks into the same kernel, compiling nothing, and
+    still matches the worklist reference (literal masks) bit for bit on
+    the settled reset state and along a seeded CSSG walk."""
+    circuit = _fresh(name, style)
+    cssg = build_cssg(circuit)
+    faults = get_model(model_name).universe(circuit)
+    if not faults:
+        pytest.skip(f"{model_name} universe is empty on {name}")
+    universe = engine_for(circuit, faults, len(faults))
+    universe.walk(cssg.reset)
+    kernels = list(compiled(circuit).kernels)
+    trail = _walk_states(
+        cssg, seed=zlib.crc32(f"{name}:{style}:{model_name}".encode())
+    )
+    for fault in faults:
+        ref = WorklistEngine(circuit, (fault,))
+        low, high = ref.reset(cssg.reset)
+        state = ternary.settle_from_reset(circuit, cssg.reset, fault)
+        assert state == _packed(low, high), fault
+        for pattern, _good in trail:
+            ref.apply_pattern(low, high, pattern)
+            state = ternary.apply_pattern(circuit, state, pattern, fault)
+            assert state == _packed(low, high), (fault, pattern)
+        assert engine_for(circuit, (fault,))._walk_fn is universe._walk_fn
+    assert compiled(circuit).kernels == kernels
+
+
+def test_one_kernel_serves_width_one_and_width_n():
+    """The universe walk and the per-fault scalar walks run one kernel
+    at two widths; bit j of every universe detection word is fault j's
+    scalar detection."""
+    circuit = _fresh("dff", "complex")
+    cssg = build_cssg(circuit)
+    faults = get_model("input").universe(circuit)
+    trail = _walk_states(cssg, seed=11)
+    universe = engine_for(circuit, faults, len(faults))
+    scalars = [engine_for(circuit, (fault,), 1) for fault in faults]
+    walks = [e.walk(cssg.reset) for e in [universe] + scalars]
+    assert {e._walk_fn for e in [universe] + scalars} == {universe._walk_fn}
+    assert len(compiled(circuit).kernels) == 1
+    words = [[w.observe(cssg.reset) for w in walks]]
+    for pattern, good in trail:
+        words.append([w.step(pattern, good) for w in walks])
+    for packed, *scalar in words:
+        assert packed == sum(det << j for j, det in enumerate(scalar))
+    assert any(packed for packed, *_ in words)
+
+
+def test_kernel_cache_stays_bounded_on_uncovered_shapes(monkeypatch):
+    """One-fault engines with no universe engine first each need their
+    own kernel; past the bound the least recently used kernel goes, and
+    every engine, re-bound or not, still matches the reference."""
+    monkeypatch.setattr(arena, "_KERNEL_CACHE_SIZE", 4)
+    circuit = _fresh("chu150", "complex")
+    cssg = build_cssg(circuit)
+    faults = [
+        fault
+        for model in ("output", "input", "transition")
+        for fault in get_model(model).universe(circuit)
+    ]
+    shapes = {frozenset(engine_for(circuit, (f,)).masks) for f in faults}
+    assert len(shapes) > 2 * arena._KERNEL_CACHE_SIZE
+    trail = _walk_states(cssg, seed=5)
+    cc = compiled(circuit)
+    for fault in faults + faults[::-1]:
+        circuit._engines = None  # re-bind: evicted shapes compile again
+        ref = WorklistEngine(circuit, (fault,))
+        low, high = ref.reset(cssg.reset)
+        walk = engine_for(circuit, (fault,)).walk(cssg.reset)
+        assert len(cc.kernels) <= arena._KERNEL_CACHE_SIZE
+        for pattern, good in trail:
+            ref.apply_pattern(low, high, pattern)
+            assert walk.step(pattern, good) == ref.observe(low, high, good)
+            assert walk.state() == (tuple(low), tuple(high))
+    assert len(cc.kernels) == arena._KERNEL_CACHE_SIZE
 
 
 def test_walk_is_restartable():

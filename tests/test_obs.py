@@ -297,6 +297,51 @@ def test_undetectability_proofs_are_counted_by_proof():
     assert armed_doc == plain_doc
 
 
+def test_flow_compiles_one_walk_kernel_per_circuit_and_model():
+    """A default run compiles one walk kernel, random TPG's universe
+    kernel; the proof's scalar walks, the three-phase machines and fault
+    grading bind their masks into it.  Read from
+    ``repro_sim_kernel_compiles_total`` on every Table 2 circuit x
+    {input, output} and on vbe6a plus its two scan cuts, each circuit
+    freshly synthesized (the loader's cached circuits already carry
+    kernels)."""
+    from repro.benchmarks_data import TABLE2_NAMES
+    from repro.ext import insert_scan_inputs, rank_scan_candidates
+
+    reg = obs_metrics.enable(MetricsRegistry())
+
+    def compiles(circuit, model):
+        before = reg.value("repro_sim_kernel_compiles_total")
+        result = Flow.default().run(
+            circuit, AtpgOptions(fault_model=model, seed=3)
+        )
+        return reg.value("repro_sim_kernel_compiles_total") - before, result
+
+    for name in TABLE2_NAMES:
+        circuit = load_benchmark.__wrapped__(name, "two-level")
+        for model in ("input", "output"):
+            n, _ = compiles(circuit, model)
+            assert n <= 1, (name, model, n)
+    base = load_benchmark.__wrapped__("vbe6a", "two-level")
+    n, result = compiles(base, "input")
+    assert n == 1
+    ranking = rank_scan_candidates(base, result.undetected_faults())
+    for n_cuts in (1, 2):
+        cut = insert_scan_inputs(base, [s for s, _ in ranking[:n_cuts]])
+        n, _ = compiles(cut, "input")
+        assert n == 1, (n_cuts, n)
+
+
+def test_kernel_compile_counter_is_off_by_default():
+    """Compiles are counted only with collection armed."""
+    from repro.sim.engine import engine_for
+
+    circuit = load_benchmark.__wrapped__("dff", "complex")
+    reg = obs_metrics.get_registry()
+    engine_for(circuit).settle(*engine_for(circuit).broadcast(0))
+    assert reg.get("repro_sim_kernel_compiles_total") is None
+
+
 def test_traced_run_produces_stage_spans():
     with use_tracer() as tracer:
         result = run_dff()
